@@ -225,13 +225,13 @@ func BenchmarkE7Vertical(b *testing.B) {
 func BenchmarkE7ColumnVsRow(b *testing.B) {
 	tab := table(b, "voc", 100000, 1)
 	ton := tab.MustColumn("tonnage").(*engine.IntColumn)
-	all := tab.All()
+	all := tab.AllChunked()
 	r := engine.IntRange{Lo: 200, Hi: 600, LoIncl: true, HiIncl: true}
 	rt := engine.NewRowTable(tab)
 	tonIdx := rt.ColumnIndex("tonnage")
 	b.Run("CountColumn", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = engine.FilterIntRange(ton, all, r)
+			_ = engine.FilterIntRangeChunked(ton, all, r, nil)
 		}
 	})
 	b.Run("CountRow", func(b *testing.B) {
@@ -241,7 +241,7 @@ func BenchmarkE7ColumnVsRow(b *testing.B) {
 	})
 	b.Run("MedianColumn", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, ok := engine.IntMedian(ton, all); !ok {
+			if _, ok := engine.IntMedianChunked(ton, all); !ok {
 				b.Fatal("median failed")
 			}
 		}
@@ -388,21 +388,21 @@ func BenchmarkE11Lazy(b *testing.B) {
 func BenchmarkEngineFilterIntRange(b *testing.B) {
 	tab := table(b, "voc", 100000, 1)
 	ton := tab.MustColumn("tonnage").(*engine.IntColumn)
-	all := tab.All()
+	all := tab.AllChunked()
 	r := engine.IntRange{Lo: 200, Hi: 600, LoIncl: true, HiIncl: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = engine.FilterIntRange(ton, all, r)
+		_ = engine.FilterIntRangeChunked(ton, all, r, nil)
 	}
 }
 
 func BenchmarkEngineMedianInt(b *testing.B) {
 	tab := table(b, "voc", 100000, 1)
 	ton := tab.MustColumn("tonnage").(*engine.IntColumn)
-	all := tab.All()
+	all := tab.AllChunked()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := engine.IntMedian(ton, all); !ok {
+		if _, ok := engine.IntMedianChunked(ton, all); !ok {
 			b.Fatal("median failed")
 		}
 	}
@@ -429,11 +429,11 @@ func BenchmarkEngineIntersectCount(b *testing.B) {
 func BenchmarkEngineStringFilter(b *testing.B) {
 	tab := table(b, "voc", 100000, 1)
 	col := tab.MustColumn("type_of_boat").(*engine.StringColumn)
-	all := tab.All()
+	all := tab.AllChunked()
 	want := []string{"fluit", "jacht"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = engine.FilterStringSet(col, all, want)
+		_ = engine.FilterStringSetChunked(col, all, want, nil)
 	}
 }
 
@@ -589,8 +589,7 @@ func BenchmarkE15ParallelCells(b *testing.B) {
 // bitmap pack, each iterating 64K-row chunks through the scan worker
 // pool. The outputs are identical at every width (the chunked
 // equivalence property tests pin this); the wall-clock should fall
-// as workers rise on multi-core hardware. The single-width flat
-// subbenchmark is the pre-chunking baseline for the same scan.
+// as workers rise on multi-core hardware.
 func BenchmarkE16ChunkedScan(b *testing.B) {
 	const nRows = 1_000_000
 	tab := table(b, "voc", nRows, 1)
@@ -602,21 +601,6 @@ func BenchmarkE16ChunkedScan(b *testing.B) {
 	sum := tab.SummaryByName("tonnage")
 	all := tab.AllChunked()
 	r := engine.IntRange{Lo: 150, Hi: 800, LoIncl: true, HiIncl: false}
-	b.Run("flat/workers=1", func(b *testing.B) {
-		engine.SetScanWorkers(1)
-		defer engine.SetScanWorkers(0)
-		flat := tab.All()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sel := engine.FilterIntRange(ton, flat, r)
-			if _, ok := engine.IntMedian(ton, sel); !ok {
-				b.Fatal("empty selection")
-			}
-			// Pack like the chunked loop does, so the two compare
-			// the same filter+median+pack pipeline.
-			_ = engine.NewBitmap(sel, nRows)
-		}
-	})
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("chunked/workers=%d", workers), func(b *testing.B) {
 			engine.SetScanWorkers(workers)

@@ -14,9 +14,9 @@
 //	GET    /healthz            queue, worker, session, cache gauges
 //
 // Identical submissions — same canonical context and config
-// fingerprint — coalesce onto one job, and completed results land in
-// the same cross-session LRU the web UI reads, so the two front ends
-// share every advise.
+// fingerprint — coalesce onto one job, from this API and the web UI
+// alike, and completed results land in the cross-session LRU both
+// read, so the two front ends share every advise.
 package main
 
 import (
@@ -297,37 +297,10 @@ func (sv *server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Admission control sits after the cache (hits cost the server
-	// nothing worth rationing) and before the queue (a token spent on
-	// a queue-full rejection would punish the client twice).
-	if ok, retry := sv.quota.Allow(clientID(r)); !ok {
-		sv.metrics.overQuota.Inc()
-		w.Header().Set("Retry-After", retryAfterSeconds(retry))
-		jsonError(w, http.StatusTooManyRequests, "over quota")
-		return
-	}
-	run := func(ctx context.Context, progress charles.ProgressFunc) (*charles.Result, error) {
-		res, err := sv.runAdvise(ctx, q, progress)
-		if err == nil && sv.results != nil {
-			// Job results feed the same LRU the web UI reads; a
-			// failed advise is never stored (it has no result to
-			// serve later).
-			sv.results.put(key, res)
-		}
-		return res, err
-	}
-	j, err := sv.jobs.SubmitTimeout(key, run, timeout)
-	switch {
-	case errors.Is(err, jobs.ErrQueueFull):
-		sv.metrics.queueFull.Inc()
-		w.Header().Set("Retry-After", "1")
-		jsonError(w, http.StatusServiceUnavailable, "queue full")
-		return
-	case errors.Is(err, jobs.ErrClosed):
-		jsonError(w, http.StatusServiceUnavailable, "shutting down")
-		return
-	case err != nil:
-		jsonError(w, http.StatusInternalServerError, err.Error())
+	j, he := sv.submitAdvise(r, key, q, timeout)
+	if he != nil {
+		he.setRetryAfter(w)
+		jsonError(w, he.status, he.msg)
 		return
 	}
 	snap := j.Snapshot()
@@ -342,6 +315,59 @@ func (sv *server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		jj.Trace = nil
 	}
 	writeJSON(w, status, jj)
+}
+
+// httpError is an advise that did not produce a result, with the
+// HTTP status it answers: a refusal at admission (429 over quota, 503
+// queue full or shutting down, with Retry-After where backing off
+// helps) or a job that ended without a result (500 panicked, 503
+// cancelled, 504 timed out; 200 when the advise failed on its input
+// and the web page shows why).
+type httpError struct {
+	status     int
+	retryAfter string // Retry-After value; "" sends none
+	msg        string
+}
+
+func (e *httpError) setRetryAfter(w http.ResponseWriter) {
+	if e.retryAfter != "" {
+		w.Header().Set("Retry-After", e.retryAfter)
+	}
+}
+
+// submitAdvise is admission plus submission, shared by both front
+// ends: the client's quota first, then a job that advises q and feeds
+// the result LRU — or, when one is already queued, running or done
+// under key, that job. Admission control sits after the LRU lookup
+// (hits cost the server nothing worth rationing) and before the queue
+// (a token spent on a queue-full rejection would punish the client
+// twice).
+func (sv *server) submitAdvise(r *http.Request, key string, q charles.Query, timeout time.Duration) (*jobs.Job, *httpError) {
+	if ok, retry := sv.quota.Allow(clientID(r)); !ok {
+		sv.metrics.overQuota.Inc()
+		return nil, &httpError{http.StatusTooManyRequests, retryAfterSeconds(retry), "over quota"}
+	}
+	run := func(ctx context.Context, progress charles.ProgressFunc) (*charles.Result, error) {
+		res, err := sv.runAdvise(ctx, q, progress)
+		if err == nil && sv.results != nil {
+			// Job results feed the LRU both front ends read; a failed
+			// advise is never stored (it has no result to serve
+			// later).
+			sv.results.put(key, res)
+		}
+		return res, err
+	}
+	j, err := sv.jobs.SubmitTimeout(key, run, timeout)
+	switch {
+	case errors.Is(err, jobs.ErrQueueFull):
+		sv.metrics.queueFull.Inc()
+		return nil, &httpError{http.StatusServiceUnavailable, "1", "queue full"}
+	case errors.Is(err, jobs.ErrClosed):
+		return nil, &httpError{status: http.StatusServiceUnavailable, msg: "shutting down"}
+	case err != nil:
+		return nil, &httpError{status: http.StatusInternalServerError, msg: err.Error()}
+	}
+	return j, nil
 }
 
 // handleJob serves one job: GET polls it, DELETE cancels it.
@@ -496,9 +522,9 @@ func coerceValue(kind engine.Kind, raw any) (charles.Value, error) {
 // and a file-backed table answers 409: .chc columns alias a
 // read-only mapping and stay immutable. On success every layer
 // re-keys automatically — the table fingerprint moved, so the result
-// LRU, job coalescing and single-flight all miss, while the shared
-// evaluator refreshes its epoch-stamped caches chunk-at-a-time on
-// the next advise instead of recomputing from scratch.
+// LRU and job coalescing both miss, while the shared evaluator
+// refreshes its epoch-stamped caches chunk-at-a-time on the next
+// advise instead of recomputing from scratch.
 func (sv *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")

@@ -343,10 +343,9 @@ func TestAsyncJSONSubmission(t *testing.T) {
 	}
 }
 
-// TestHealthzCountersAndCache exercises the PR 3 cross-session
-// result LRU through the new /healthz payload: a miss then a hit,
-// visible sizes, and the sync single-flight sharing one advise
-// across concurrent cold misses.
+// TestHealthzCountersAndCache exercises the cross-session result
+// LRU through the /healthz payload: a miss then a hit, and visible
+// sizes.
 func TestHealthzCountersAndCache(t *testing.T) {
 	sv := testServer(t)
 	c := newClient(t, sv)
@@ -378,9 +377,27 @@ func TestHealthzCountersAndCache(t *testing.T) {
 	}
 }
 
-// TestSyncAdviseSingleFlight pins the satellite: concurrent
-// synchronous misses on one (context, config) key run one advise,
-// shared through the jobs-layer Group.
+// syncAdvise runs the web UI's blocking advise for q, as one GET /
+// would.
+func syncAdvise(sv *server, q charles.Query) (*charles.Result, error) {
+	res, he := sv.advise(httptest.NewRequest(http.MethodGet, "/", nil), q)
+	if he != nil {
+		return nil, fmt.Errorf("%d: %s", he.status, he.msg)
+	}
+	return res, nil
+}
+
+// cached reports whether key is in the LRU, leaving its recency and
+// the hit/miss counters alone.
+func cached(rc *resultCache, key string) bool {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	_, ok := rc.m[key]
+	return ok
+}
+
+// TestSyncAdviseSingleFlight: concurrent synchronous misses on one
+// (context, config) key coalesce onto one job and run one advise.
 func TestSyncAdviseSingleFlight(t *testing.T) {
 	tab := charles.GenerateVOC(50000, 1) // big enough that the advise outlives goroutine start skew
 	adv := charles.NewAdvisor(tab, charles.DefaultConfig())
@@ -403,7 +420,7 @@ func TestSyncAdviseSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			res, err := sv.advise(q)
+			res, err := syncAdvise(sv, q)
 			if err != nil {
 				t.Errorf("advise: %v", err)
 				return
@@ -450,7 +467,7 @@ func TestSyncAdviseJoinsRunningAsyncJob(t *testing.T) {
 	}
 	resCh := make(chan *charles.Result, 1)
 	go func() {
-		res, err := sv.advise(q)
+		res, err := syncAdvise(sv, q)
 		if err != nil {
 			t.Errorf("sync advise: %v", err)
 		}
@@ -495,7 +512,7 @@ func TestFailedAdviseNeverCached(t *testing.T) {
 	}()
 	// Sync path: fails, caches nothing, fails again (no bogus hit).
 	for i := 1; i <= 2; i++ {
-		if _, err := sv.advise(q); err == nil {
+		if _, err := syncAdvise(sv, q); err == nil {
 			t.Fatalf("advise %d unexpectedly succeeded", i)
 		}
 		size, hits, misses := sv.results.stats()
@@ -509,9 +526,14 @@ func TestFailedAdviseNeverCached(t *testing.T) {
 	if got := sv.metrics.advises.Value(); got != 2 {
 		t.Fatalf("advises = %d, want 2 (failures must not be served from cache)", got)
 	}
+	// The web UI shows the failure on the page; it is the advise's
+	// answer to this context, not a server error.
+	c := newClient(t, sv)
+	if res, body := c.get("/"); res.StatusCode != http.StatusOK || !strings.Contains(body, "advise: ") {
+		t.Fatalf("failed advise page: %d\n%s", res.StatusCode, body)
+	}
 	// Async path: the job fails, the cache stays empty, and the
 	// failed job does not answer a resubmission.
-	c := newClient(t, sv)
 	status, jj := c.submitAdvise("(k:)")
 	if status != http.StatusAccepted {
 		t.Fatalf("submit status = %d", status)
@@ -571,21 +593,21 @@ func TestResultCacheEvictionOrder(t *testing.T) {
 	rc.put("c", r)
 	rc.get("a")    // order now a > c > b
 	rc.put("d", r) // evicts b
-	if _, ok := rc.peek("b"); ok {
+	if cached(rc, "b") {
 		t.Fatal("b survived; eviction ignored recency")
 	}
 	rc.put("e", r) // evicts c
-	if _, ok := rc.peek("c"); ok {
+	if cached(rc, "c") {
 		t.Fatal("c survived; eviction ignored recency")
 	}
 	for _, k := range []string{"a", "d", "e"} {
-		if _, ok := rc.peek(k); !ok {
+		if !cached(rc, k) {
 			t.Fatalf("%s evicted out of order", k)
 		}
 	}
 	// put of a nil result is refused outright.
 	rc.put("nil", nil)
-	if _, ok := rc.peek("nil"); ok {
+	if cached(rc, "nil") {
 		t.Fatal("nil result was cached")
 	}
 }

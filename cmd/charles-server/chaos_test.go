@@ -316,9 +316,9 @@ func TestChaosJobPanicContained(t *testing.T) {
 	}
 }
 
-// TestChaosSyncPanicRecovered: a panic on the synchronous render
-// path is contained by the HTTP middleware into a counted 500; the
-// next request is served normally.
+// TestChaosSyncPanicRecovered: a panic in an advise the web UI
+// waits on is contained by the job worker into a failed job, rendered
+// as a counted 500 page; the next request is served normally.
 func TestChaosSyncPanicRecovered(t *testing.T) {
 	leakcheck.Check(t)
 	armFault(t, "server.advise", "panic(sync chaos)")
@@ -338,6 +338,47 @@ func TestChaosSyncPanicRecovered(t *testing.T) {
 	fault.Reset()
 	if res, _ := c.get("/"); res.StatusCode != http.StatusOK {
 		t.Fatalf("request after contained panic: %d, want 200", res.StatusCode)
+	}
+}
+
+// TestChaosSyncAdviseHonoursJobTimeout holds the web UI to the
+// deadline contract: GET / advises through the job queue, so with a
+// -job-timeout shorter than the advise (slowed by a latency fault)
+// the page answers 504 with the timed-out error once the job's
+// deadline has fired, caches nothing, and a client that gives up
+// stops waiting at once. No goroutine outlives the server.
+func TestChaosSyncAdviseHonoursJobTimeout(t *testing.T) {
+	leakcheck.Check(t)
+	armFault(t, "server.advise", "sleep(300ms)")
+	sv := testServerOpts(t, charles.DefaultConfig(), jobs.Options{Timeout: 50 * time.Millisecond})
+	c := newHandlerClient(t, sv)
+
+	start := time.Now()
+	res, body := c.get("/")
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("GET / took %v under a 50ms job deadline", d)
+	}
+	if res.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("GET / past the job deadline: %d, want 504\n%s", res.StatusCode, body)
+	}
+	if !strings.Contains(body, "exceeded its 50ms deadline") {
+		t.Fatalf("page does not name the timeout:\n%s", body)
+	}
+	if snaps := sv.jobs.List(); len(snaps) != 1 || snaps[0].State != jobs.StateTimedOut {
+		t.Fatalf("jobs = %+v, want one timed_out job", snaps)
+	}
+	if size, _, _ := sv.results.stats(); size != 0 {
+		t.Fatal("a timed-out advise was cached")
+	}
+
+	// A client that disconnects stops the wait before the job ends.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	rec := httptest.NewRecorder()
+	start = time.Now()
+	sv.handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil).WithContext(ctx))
+	if d := time.Since(start); d > 250*time.Millisecond {
+		t.Fatalf("handler kept waiting %v after its client left", d)
 	}
 }
 

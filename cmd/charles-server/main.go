@@ -73,11 +73,10 @@ const resultCacheCap = 256
 // resultCache is a bounded LRU of advise results shared by every
 // session. Results are immutable once computed, so cache hits hand
 // out the same *charles.Result to concurrent sessions. Concurrent
-// misses on one key single-flight through the jobs layer's
-// coalescing Group (sv.flight), so they cost one advise, not N.
-// Only successful advises are ever stored: a failed advise has no
-// result, and caching its absence would be indistinguishable from a
-// legitimate empty result on the read path.
+// misses on one key coalesce onto one job in the jobs queue, so they
+// cost one advise, not N. Only successful advises are ever stored: a
+// failed advise has no result, and caching its absence would be
+// indistinguishable from a legitimate empty result on the read path.
 type resultCache struct {
 	mu  sync.Mutex
 	cap int
@@ -135,20 +134,6 @@ func (rc *resultCache) put(key string, res *charles.Result) {
 	}
 }
 
-// peek is get without the hit/miss accounting: the single-flight's
-// in-flight double check would otherwise count every cold advise
-// twice.
-func (rc *resultCache) peek(key string) (*charles.Result, bool) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	el, ok := rc.m[key]
-	if !ok {
-		return nil, false
-	}
-	rc.ll.MoveToFront(el)
-	return el.Value.(*resultEntry).res, true
-}
-
 // stats returns size and hit/miss counters for /healthz, reading
 // the same obs counters /metrics exposes.
 func (rc *resultCache) stats() (size, hits, misses int) {
@@ -188,20 +173,15 @@ type session struct {
 
 // server is the multi-session advisory service: one shared advisor
 // over the read-only table, per-user sessions, a cross-session
-// result cache so identical explorations cost one advise, and an
-// async job queue so long advises can be submitted, watched and
-// cancelled instead of holding a request open.
+// result cache so identical explorations cost one advise, and the
+// job queue every advise runs on — the web UI waits on its job, the
+// async API hands out the job to poll or cancel.
 type server struct {
 	adv        *charles.Advisor
 	initialCtx charles.Query
 	results    *resultCache
 	cfgFP      string
 	jobs       *jobs.Manager
-	// flight single-flights the synchronous advise path: concurrent
-	// cache misses on one (context, config) key run one advise and
-	// share its result — the same coalescing the job queue applies
-	// to submissions, via the same jobs-layer helper.
-	flight jobs.Group
 	// metrics owns the obs registry behind GET /metrics, plus the
 	// families the server updates directly (HTTP plane, advise and
 	// result-cache counters — the latter shared with /healthz).
@@ -252,23 +232,22 @@ func newServer(adv *charles.Advisor, initialCtx charles.Query, jopt jobs.Options
 }
 
 // cacheKey is the (canonical context, config fingerprint, table
-// fingerprint) identity shared by the result LRU, the sync
-// single-flight and the job queue's coalescing. The table
-// fingerprint moves on every mutation, so results advised before an
-// append can never be served after it — stale entries simply stop
-// being addressable and age out of the LRU.
+// fingerprint) identity shared by the result LRU and the job queue's
+// coalescing. The table fingerprint moves on every mutation, so
+// results advised before an append can never be served after it —
+// stale entries simply stop being addressable and age out of the LRU.
 func (sv *server) cacheKey(ctx charles.Query) string {
 	return ctx.Key() + "\x00" + sv.cfgFP + "\x00" + sv.adv.Table().Fingerprint()
 }
 
-// runAdvise executes one real advise, counting it. The table read
-// lock spans the whole advise — sync or async — so POST /append
-// cannot mutate mid-computation.
+// runAdvise executes one real advise, counting it; it is the body
+// of every advise job. The table read lock spans the whole advise so
+// POST /append cannot mutate mid-computation.
 func (sv *server) runAdvise(ctx context.Context, q charles.Query, progress charles.ProgressFunc) (*charles.Result, error) {
-	// The failpoint sits on both front ends: an injected error here
-	// surfaces as a failed job (async) or a 500 (sync); an injected
-	// panic proves runContained on one path and withRecover on the
-	// other.
+	// The failpoint serves both front ends: an injected error here
+	// fails the job — polled as failed on the API, shown on the page
+	// by the web UI — and an injected panic proves the job worker's
+	// containment.
 	if err := fault.Inject("server.advise"); err != nil {
 		return nil, fmt.Errorf("advise: %w", err)
 	}
@@ -292,47 +271,46 @@ func (sv *server) invalidateSessions() {
 	}
 }
 
-// advise returns the ranked result for ctx, serving repeats — from
-// any session — out of the result cache when caching is enabled.
-// Concurrent misses on the same key are single-flighted: one caller
-// advises, the rest wait and share. Failed advises are never cached,
-// so a transient failure cannot masquerade as an empty result.
-func (sv *server) advise(ctx charles.Query) (*charles.Result, error) {
-	if sv.results == nil {
-		return sv.runAdvise(context.Background(), ctx, nil)
-	}
-	key := sv.cacheKey(ctx)
-	if res, ok := sv.results.get(key); ok {
-		return res, nil
-	}
-	res, err, _ := sv.flight.Do(key, func() (*charles.Result, error) {
-		// Re-check under the flight: a caller that missed just
-		// before a previous flight stored would otherwise re-advise.
-		if res, ok := sv.results.peek(key); ok {
+// advise returns the ranked result for q to a caller that blocks on
+// it — the web UI. A result-LRU hit answers at once; a miss goes
+// through submitAdvise exactly like POST /advise (quota, queue,
+// coalescing onto a job already advising the key, -job-timeout) and
+// waits for the job or for the request's context, whichever ends
+// first. A client that goes away stops the wait, not the job: the
+// job finishes for whoever else joined it and lands in the LRU.
+// Failures come back with the status the page answers with; an
+// advise that fails on its context (nothing to cut, say) answers 200
+// with the error on the page, like a context that does not parse.
+func (sv *server) advise(r *http.Request, q charles.Query) (*charles.Result, *httpError) {
+	key := sv.cacheKey(q)
+	if sv.results != nil {
+		if res, ok := sv.results.get(key); ok {
 			return res, nil
 		}
-		// Join an async job already executing this key instead of
-		// advising the same context twice — the two front ends share
-		// every advise. Queued jobs are not waited on (the queue may
-		// be backed up far longer than advising here would take).
-		if j, ok := sv.jobs.Peek(key); ok {
-			snap := j.Snapshot()
-			if snap.State == jobs.StateRunning || snap.State == jobs.StateDone {
-				<-j.Done()
-				if snap = j.Snapshot(); snap.State == jobs.StateDone && snap.Result != nil {
-					return snap.Result, nil
-				}
-				// Cancelled or failed under us: advise ourselves.
-			}
+	}
+	j, he := sv.submitAdvise(r, key, q, 0)
+	if he != nil {
+		return nil, he
+	}
+	select {
+	case <-j.Done():
+	case <-r.Context().Done():
+		return nil, &httpError{status: http.StatusServiceUnavailable, msg: "request ended: " + r.Context().Err().Error()}
+	}
+	snap := j.Snapshot()
+	switch snap.State {
+	case jobs.StateDone:
+		return snap.Result, nil
+	case jobs.StateTimedOut:
+		return nil, &httpError{status: http.StatusGatewayTimeout, msg: snap.Err.Error()}
+	case jobs.StateCancelled:
+		return nil, &httpError{status: http.StatusServiceUnavailable, msg: snap.Err.Error()}
+	case jobs.StateFailed:
+		if errors.Is(snap.Err, jobs.ErrPanicked) {
+			return nil, &httpError{status: http.StatusInternalServerError, msg: snap.Err.Error()}
 		}
-		res, err := sv.runAdvise(context.Background(), ctx, nil)
-		if err != nil {
-			return nil, err
-		}
-		sv.results.put(key, res)
-		return res, nil
-	})
-	return res, err
+	}
+	return nil, &httpError{status: http.StatusOK, msg: snap.Err.Error()}
 }
 
 func main() {
@@ -346,7 +324,7 @@ func main() {
 		initCtx    = flag.String("context", "", "initial SDL context (empty = all columns)")
 		workers    = flag.Int("workers", 0, "advisor worker goroutines per advise (0 = all CPUs)")
 		chunkRows  = flag.Int("chunk-rows", 0, "row-range chunk width of the storage layer (0 = auto, 64K)")
-		queueDepth = flag.Int("queue-depth", 64, "async advise jobs the queue holds before rejecting (503)")
+		queueDepth = flag.Int("queue-depth", 64, "advise jobs the queue holds before rejecting (503)")
 		jobWorkers = flag.Int("job-workers", 2, "advises executing concurrently (independent of -workers, the per-advise fan-out)")
 		jobTTL     = flag.Duration("job-ttl", 5*time.Minute, "how long finished jobs stay pollable")
 		jobTimeout = flag.Duration("job-timeout", 10*time.Minute, "deadline for one advise job; timed-out jobs report timed_out, not cancelled (0 = none)")
@@ -600,9 +578,10 @@ func (sv *server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if s.res == nil {
-		res, err := sv.advise(s.ctx)
-		if err != nil {
-			sv.render(w, charles.Query{}, nil, -1, "advise: "+err.Error())
+		res, he := sv.advise(r, s.ctx)
+		if he != nil {
+			he.setRetryAfter(w)
+			sv.render(w, he.status, charles.Query{}, nil, -1, "advise: "+he.msg)
 			return
 		}
 		s.res = res
@@ -616,7 +595,7 @@ func (sv *server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	if open < 0 && len(s.res.Segmentations) > 0 {
 		open = 0
 	}
-	sv.render(w, s.ctx, s.res, open, errMsg)
+	sv.render(w, http.StatusOK, s.ctx, s.res, open, errMsg)
 }
 
 // handleZoom re-roots the session's context on a segment of its
@@ -642,7 +621,7 @@ func (sv *server) handleZoom(w http.ResponseWriter, r *http.Request) {
 	http.Redirect(w, r, "/", http.StatusSeeOther)
 }
 
-func (sv *server) render(w http.ResponseWriter, ctx charles.Query, res *charles.Result, open int, errMsg string) {
+func (sv *server) render(w http.ResponseWriter, status int, ctx charles.Query, res *charles.Result, open int, errMsg string) {
 	rows := 0
 	if res != nil {
 		sv.tabMu.RLock()
@@ -659,6 +638,7 @@ func (sv *server) render(w http.ResponseWriter, ctx charles.Query, res *charles.
 	}
 	pd.Error = errMsg
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	w.WriteHeader(status)
 	if err := ui.PageTemplate.Execute(w, pd); err != nil {
 		log.Printf("charles-server: render: %v", err)
 	}

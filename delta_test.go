@@ -16,6 +16,8 @@ import (
 
 	"charles"
 	"charles/internal/engine"
+	"charles/internal/obs"
+	"charles/internal/seg"
 )
 
 // cloneTable deep-copies a memory-backed table's columns into a
@@ -78,6 +80,14 @@ func adviseRendered(tb testing.TB, adv *charles.Advisor, context string) string 
 	return charles.RenderRanked(res, 0)
 }
 
+// liveEvalMetrics installs live evaluator counters on adv and
+// returns them, so a test can tell which cache paths an advise took.
+func liveEvalMetrics(adv *charles.Advisor) *seg.EvalMetrics {
+	m := &seg.EvalMetrics{DeltaRefreshes: &obs.Counter{}, CutRefreshes: &obs.Counter{}}
+	adv.Evaluator().SetEvalMetrics(m)
+	return m
+}
+
 // TestDeltaAdviseByteIdentical is the always-on core guarantee: after
 // appends and updates, a warm advisor (epoch-keyed caches primed
 // before the mutations) answers byte-identically to a cold advisor
@@ -91,6 +101,7 @@ func TestDeltaAdviseByteIdentical(t *testing.T) {
 	cfg := charles.DefaultConfig()
 	cfg.ChunkRows = 1 << 10
 	warm := charles.NewAdvisor(tab, cfg)
+	em := liveEvalMetrics(warm)
 	_ = adviseRendered(t, warm, context) // prime every cache
 
 	// Append 1%: rows sampled from the source so value distributions
@@ -124,7 +135,7 @@ func TestDeltaAdviseByteIdentical(t *testing.T) {
 	if got != want {
 		t.Fatalf("warm advise diverged from cold rebuild after mutation:\n--- warm ---\n%s\n--- cold ---\n%s", got, want)
 	}
-	if ctr := warm.Evaluator().Counters(); ctr.DeltaRefreshes == 0 {
+	if em.DeltaRefreshes.Value() == 0 {
 		t.Fatal("warm advise took no delta-refresh path; the incremental machinery never engaged")
 	}
 }
@@ -236,6 +247,7 @@ func TestE21DeltaAdviseGate(t *testing.T) {
 	tab := cloneTable(t, src)
 	cfg := charles.DefaultConfig()
 	warm := charles.NewAdvisor(tab, cfg)
+	em := liveEvalMetrics(warm)
 	_ = adviseRendered(t, warm, context) // prime
 
 	delta := make([][]charles.Value, nRows/100)
@@ -266,8 +278,9 @@ func TestE21DeltaAdviseGate(t *testing.T) {
 	if warmDur*time.Duration(gate) > coldDur {
 		t.Fatalf("warm re-advise after 1%% append not ≥%d× faster than cold: warm=%v cold=%v (ratio %.1fx)", gate, warmDur, coldDur, float64(coldDur)/float64(warmDur))
 	}
-	if ctr := warm.Evaluator().Counters(); ctr.DeltaRefreshes == 0 || ctr.CutRefreshes == 0 {
-		t.Fatalf("incremental machinery did not engage: %+v", ctr)
+	if em.DeltaRefreshes.Value() == 0 || em.CutRefreshes.Value() == 0 {
+		t.Fatalf("incremental machinery did not engage: delta refreshes %d, cut refreshes %d",
+			em.DeltaRefreshes.Value(), em.CutRefreshes.Value())
 	}
 	t.Logf("delta advise: warm=%v cold=%v ratio=%.1fx", warmDur, coldDur, float64(coldDur)/float64(warmDur))
 }

@@ -210,7 +210,7 @@ func buildGrid(tab *engine.Table, sel engine.Selection, attrs []string, xi int) 
 		switch col := col.(type) {
 		case *engine.StringColumn:
 			binOf := map[string]int{}
-			vcs := engine.StringValueCounts(col, sel)
+			vcs := engine.StringValueCountsChunked(col, engine.ChunkSelection(sel, tab.NumRows(), tab.ChunkRows()))
 			sort.Slice(vcs, func(i, j int) bool {
 				if vcs[i].Count != vcs[j].Count {
 					return vcs[i].Count > vcs[j].Count

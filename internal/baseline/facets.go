@@ -45,25 +45,25 @@ func facetOn(ev *seg.Evaluator, context sdl.Query, attr string, maxGroups int) (
 	if !ok {
 		return nil, fmt.Errorf("baseline: no column %q", attr)
 	}
-	sel, err := ev.Select(context)
+	cs, err := ev.SelectChunked(context)
 	if err != nil {
 		return nil, err
 	}
-	if len(sel) == 0 {
+	if cs.Len() == 0 {
 		return nil, fmt.Errorf("baseline: context %s selects no rows", context)
 	}
 	var pieces []sdl.Constraint
 	switch col := col.(type) {
 	case *engine.StringColumn:
-		pieces = nominalFacets(attr, engine.StringValueCounts(col, sel), maxGroups, func(s string) engine.Value {
+		pieces = nominalFacets(attr, engine.StringValueCountsChunked(col, cs), maxGroups, func(s string) engine.Value {
 			return engine.String_(s)
 		})
 	case *engine.BoolColumn:
-		pieces = nominalFacets(attr, engine.BoolValueCounts(col, sel), maxGroups, func(s string) engine.Value {
+		pieces = nominalFacets(attr, engine.BoolValueCountsChunked(col, cs), maxGroups, func(s string) engine.Value {
 			return engine.Bool(s == "true")
 		})
 	case *engine.FloatColumn:
-		min, max, _ := engine.FloatMinMax(col, sel)
+		min, max, _ := engine.FloatMinMaxChunked(col, cs)
 		if min == max {
 			return nil, nil
 		}
@@ -77,7 +77,7 @@ func facetOn(ev *seg.Evaluator, context sdl.Query, attr string, maxGroups int) (
 			}
 		}
 	case engine.IntValued:
-		min, max, _ := engine.IntMinMax(col, sel)
+		min, max, _ := engine.IntMinMaxChunked(col, cs)
 		if min == max {
 			return nil, nil
 		}

@@ -184,7 +184,7 @@ func SegmentationHomogeneity(ev *seg.Evaluator, context sdl.Query, s *seg.Segmen
 		if !ok {
 			continue // homogeneity proxy only over numeric attrs
 		}
-		_, overall, _ := engine.FloatMeanVar(fc, ctxSel)
+		_, overall, _ := meanVar(fc, ctxSel)
 		if overall == 0 {
 			continue
 		}
@@ -194,7 +194,7 @@ func SegmentationHomogeneity(ev *seg.Evaluator, context sdl.Query, s *seg.Segmen
 			if err != nil {
 				return 0, err
 			}
-			_, v, ok := engine.FloatMeanVar(fc, segSel)
+			_, v, ok := meanVar(fc, segSel)
 			if !ok {
 				continue
 			}
@@ -211,4 +211,23 @@ func SegmentationHomogeneity(ev *seg.Evaluator, context sdl.Query, s *seg.Segmen
 		return 0, fmt.Errorf("baseline: no usable float attribute among %v", attrs)
 	}
 	return ratioSum / float64(used), nil
+}
+
+// meanVar returns the mean and population variance of col over sel,
+// the homogeneity proxy's per-segment statistic. ok is false when the
+// selection is empty.
+func meanVar(col engine.FloatValued, sel engine.Selection) (mean, variance float64, ok bool) {
+	if len(sel) == 0 {
+		return 0, 0, false
+	}
+	for _, row := range sel {
+		mean += col.Float64(int(row))
+	}
+	mean /= float64(len(sel))
+	for _, row := range sel {
+		d := col.Float64(int(row)) - mean
+		variance += d * d
+	}
+	variance /= float64(len(sel))
+	return mean, variance, true
 }

@@ -25,13 +25,12 @@ func reserveSegSlots(cs *ChunkedSelection) (extra int, release func()) {
 }
 
 // forEachSeg runs fn(c) once per chunk of cs, fanning chunks out
-// across the scan worker pool. Unlike the flat statChunks splitter —
-// which cuts a selection into exactly worker-count pieces — a
-// chunked selection usually has far more chunks than workers, so the
-// chunks stream through par.ForEach's shared work queue. Small
-// selections and slot-exhausted processes stay on the calling
-// goroutine, exactly like the flat path. Callers assemble results by
-// chunk index, so scheduling never influences output.
+// across the scan worker pool. A chunked selection usually has far
+// more chunks than workers, so the chunks stream through
+// par.ForEach's shared work queue. Small selections and
+// slot-exhausted processes stay on the calling goroutine. Callers
+// assemble results by chunk index, so scheduling never influences
+// output.
 func forEachSeg(cs *ChunkedSelection, fn func(c int)) {
 	n := cs.NumChunks()
 	if n == 0 {
@@ -67,8 +66,8 @@ const (
 
 // filterSegs is the shared chunked-filter driver: verdict prunes or
 // passes whole chunks from the zone map, scan narrows the rest
-// through the same typed kernels the flat filters use, and the
-// per-chunk outputs are reassembled in chunk order.
+// through the typed scan kernels of filter.go, and the per-chunk
+// outputs are reassembled in chunk order.
 func filterSegs(cs *ChunkedSelection, verdict func(c int) chunkVerdict, scan func(seg Selection) Selection) *ChunkedSelection {
 	m := metricsHook.Load()
 	m.VectorKernels.Inc()
@@ -123,8 +122,8 @@ func intRangeVerdict(sum *ChunkSummary, r IntRange) func(c int) chunkVerdict {
 
 // floatRangeVerdict is intRangeVerdict over floats, complicated by
 // NaN: FloatRange.Contains(NaN) is true (NaN fails both exclusion
-// comparisons), so the flat filter keeps NaN rows in every range and
-// the chunked path must match it exactly. Skipping therefore needs
+// comparisons), so the scan kernel keeps NaN rows in every range and
+// the zone verdict must match it exactly. Skipping therefore needs
 // the zone map's proof that the chunk is NaN-free — its finite
 // bounds say nothing about NaN rows, which would always match.
 // Taking needs no such proof: if the NaN-ignoring bounds fall inside

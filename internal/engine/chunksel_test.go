@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -159,46 +160,49 @@ func TestChunkedFiltersMatchMonolithic(t *testing.T) {
 		for _, sel := range adversarialSelections(nRows, chunkRows, rng) {
 			cs := ChunkSelection(sel, nRows, chunkRows)
 			for _, r := range ranges {
-				want := FilterIntRange(ton, sel, r)
+				want := naiveFilter(sel, func(row int) bool { return r.Contains(ton.Int64(row)) })
 				selEqual(t, "FilterIntRangeChunked+zonemap", FilterIntRangeChunked(ton, cs, r, tonSum), want)
 				selEqual(t, "FilterIntRangeChunked", FilterIntRangeChunked(ton, cs, r, nil), want)
 			}
+			wantTyp := naiveFilter(sel, func(row int) bool { return slices.Contains([]string{"fluit", "galjoot"}, typ.Str(row)) })
+			wantRange := naiveFilter(sel, func(row int) bool { v := typ.Str(row); return v >= "g" && v < "k" })
+			wantArmed := naiveFilter(sel, armed.Bool)
 			fr := FloatRange{Lo: 5, Hi: 30, LoIncl: true, HiIncl: true}
 			selEqual(t, "FilterFloatRangeChunked+zonemap",
-				FilterFloatRangeChunked(speed, cs, fr, speedSum), FilterFloatRange(speed, sel, fr))
+				FilterFloatRangeChunked(speed, cs, fr, speedSum), naiveFilter(sel, func(row int) bool { return fr.Contains(speed.Float64(row)) }))
 			frAll := FloatRange{Lo: math.Inf(-1), Hi: math.Inf(1), LoIncl: true, HiIncl: true}
 			selEqual(t, "FilterFloatRangeChunked NaN-excluding take",
-				FilterFloatRangeChunked(speed, cs, frAll, speedSum), FilterFloatRange(speed, sel, frAll))
+				FilterFloatRangeChunked(speed, cs, frAll, speedSum), naiveFilter(sel, func(row int) bool { return frAll.Contains(speed.Float64(row)) }))
 			selEqual(t, "FilterIntSetChunked",
 				FilterIntSetChunked(ton, cs, []int64{0, 17, 100, 999}, tonSum),
-				FilterIntSet(ton, sel, []int64{0, 17, 100, 999}))
+				naiveFilter(sel, func(row int) bool { return slices.Contains([]int64{0, 17, 100, 999}, ton.Int64(row)) }))
 			selEqual(t, "FilterFloatSetChunked",
 				FilterFloatSetChunked(speed, cs, []float64{3, 20}, speedSum),
-				FilterFloatSet(speed, sel, []float64{3, 20}))
+				naiveFilter(sel, func(row int) bool { return slices.Contains([]float64{3, 20}, speed.Float64(row)) }))
 			selEqual(t, "FilterStringSetChunked+zonemap",
 				FilterStringSetChunked(typ, cs, []string{"fluit", "galjoot"}, typSum),
-				FilterStringSet(typ, sel, []string{"fluit", "galjoot"}))
+				wantTyp)
 			selEqual(t, "FilterStringSetChunked",
 				FilterStringSetChunked(typ, cs, []string{"fluit", "galjoot"}, nil),
-				FilterStringSet(typ, sel, []string{"fluit", "galjoot"}))
+				wantTyp)
 			selEqual(t, "FilterStringRangeChunked+zonemap",
 				FilterStringRangeChunked(typ, cs, "g", "k", true, false, typSum),
-				FilterStringRange(typ, sel, "g", "k", true, false))
+				wantRange)
 			selEqual(t, "FilterStringRangeChunked",
 				FilterStringRangeChunked(typ, cs, "g", "k", true, false, nil),
-				FilterStringRange(typ, sel, "g", "k", true, false))
+				wantRange)
 			selEqual(t, "FilterBoolSetChunked+zonemap",
 				FilterBoolSetChunked(armed, cs, []bool{true}, armedSum),
-				FilterBoolSet(armed, sel, []bool{true}))
+				wantArmed)
 			selEqual(t, "FilterBoolSetChunked",
 				FilterBoolSetChunked(armed, cs, []bool{true}, nil),
-				FilterBoolSet(armed, sel, []bool{true}))
+				wantArmed)
 		}
 	}
 }
 
 // TestChunkedStatsMatchMonolithic pins the chunked reductions and
-// cut-point calculations to their flat counterparts over the same
+// cut-point calculations to row-at-a-time oracles over the same
 // adversarial selection shapes.
 func TestChunkedStatsMatchMonolithic(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
@@ -207,61 +211,44 @@ func TestChunkedStatsMatchMonolithic(t *testing.T) {
 	ton := tab.MustColumn("ton").(*IntColumn)
 	typ := tab.MustColumn("type").(*StringColumn)
 	armed := tab.MustColumn("armed").(*BoolColumn)
-	// A NaN-free float column: the flat median path (quickselect)
-	// does not tolerate NaN, chunked or not.
-	pure := make([]float64, nRows)
-	for i := range pure {
-		pure[i] = float64(rng.Intn(200)) / 4
-	}
-	speed := NewFloatColumn("speed", pure)
+	speed := tab.MustColumn("speed").(*FloatColumn)
 	for _, sel := range adversarialSelections(nRows, chunkRows, rng) {
 		cs := ChunkSelection(sel, nRows, chunkRows)
-		wantMin, wantMax, wantOK := IntMinMax(ton, sel)
+		wantMin, wantMax, wantOK := naiveIntMinMax(ton, sel)
 		gotMin, gotMax, gotOK := IntMinMaxChunked(ton, cs)
 		if gotMin != wantMin || gotMax != wantMax || gotOK != wantOK {
 			t.Fatalf("IntMinMaxChunked = (%d,%d,%v), want (%d,%d,%v)", gotMin, gotMax, gotOK, wantMin, wantMax, wantOK)
 		}
-		fMin, fMax, fOK := FloatMinMax(speed, sel)
+		fMin, fMax, fOK := naiveFloatMinMax(speed, sel)
 		cMin, cMax, cOK := FloatMinMaxChunked(speed, cs)
-		if cMin != fMin || cMax != fMax || cOK != fOK {
+		same := func(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+		if !same(cMin, fMin) || !same(cMax, fMax) || cOK != fOK {
 			t.Fatalf("FloatMinMaxChunked = (%v,%v,%v), want (%v,%v,%v)", cMin, cMax, cOK, fMin, fMax, fOK)
 		}
-		if wm, wok := IntMedian(ton, sel.Clone()); true {
-			gm, gok := IntMedianChunked(ton, cs)
-			if gm != wm || gok != wok {
-				t.Fatalf("IntMedianChunked = (%d,%v), want (%d,%v)", gm, gok, wm, wok)
-			}
+		ints, floats := naiveInts(ton, sel), naiveFiniteFloats(speed, sel)
+		wm, wok := naiveMedian(ints)
+		if gm, gok := IntMedianChunked(ton, cs); gm != wm || gok != wok {
+			t.Fatalf("IntMedianChunked = (%d,%v), want (%d,%v)", gm, gok, wm, wok)
 		}
-		if wm, wok := FloatMedian(speed, sel.Clone()); true {
-			gm, gok := FloatMedianChunked(speed, cs)
-			if gm != wm || gok != wok {
-				t.Fatalf("FloatMedianChunked = (%v,%v), want (%v,%v)", gm, gok, wm, wok)
-			}
+		wf, wfok := naiveMedian(floats)
+		if gm, gok := FloatMedianChunked(speed, cs); gm != wf || gok != wfok {
+			t.Fatalf("FloatMedianChunked = (%v,%v), want (%v,%v)", gm, gok, wf, wfok)
 		}
 		for _, arity := range []int{2, 3, 7} {
-			want := IntCutPoints(ton, sel.Clone(), arity)
-			got := IntCutPointsChunked(ton, cs, arity)
-			if !reflect.DeepEqual(got, want) {
+			if got, want := IntCutPointsChunked(ton, cs, arity), naiveCutPoints(ints, arity); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
 				t.Fatalf("IntCutPointsChunked(arity=%d) = %v, want %v", arity, got, want)
 			}
-			wantF := FloatCutPoints(speed, sel.Clone(), arity)
-			gotF := FloatCutPointsChunked(speed, cs, arity)
-			if !reflect.DeepEqual(gotF, wantF) {
-				t.Fatalf("FloatCutPointsChunked(arity=%d) = %v, want %v", arity, gotF, wantF)
+			if got, want := FloatCutPointsChunked(speed, cs, arity), naiveCutPoints(floats, arity); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+				t.Fatalf("FloatCutPointsChunked(arity=%d) = %v, want %v", arity, got, want)
 			}
 		}
-		if !reflect.DeepEqual(StringValueCountsChunked(typ, cs), StringValueCounts(typ, sel)) {
+		if !reflect.DeepEqual(StringValueCountsChunked(typ, cs), naiveStringCounts(typ, sel)) {
 			t.Fatal("StringValueCountsChunked diverged")
 		}
-		if !reflect.DeepEqual(BoolValueCountsChunked(armed, cs), BoolValueCounts(armed, sel)) {
+		if !reflect.DeepEqual(BoolValueCountsChunked(armed, cs), naiveBoolCounts(armed, sel)) {
 			t.Fatal("BoolValueCountsChunked diverged")
 		}
-		wantG := GatherInt(ton, sel)
-		var gotG []int64
-		for _, ch := range GatherIntChunked(ton, cs) {
-			gotG = append(gotG, ch...)
-		}
-		if len(gotG) != len(wantG) || (len(wantG) > 0 && !reflect.DeepEqual(gotG, wantG)) {
+		if !reflect.DeepEqual(flatInts(GatherIntChunked(ton, cs)), append([]int64{}, ints...)) {
 			t.Fatal("GatherIntChunked diverged")
 		}
 	}
@@ -348,12 +335,12 @@ func TestChunkedParallelLoopsRace(t *testing.T) {
 	sum := tab.SummaryByName("v")
 	cs := tab.AllChunked()
 	r := IntRange{Lo: 100, Hi: 800, LoIncl: true, HiIncl: false}
-	wantSel := FilterIntRange(col, AllRows(nRows), r)
+	wantSel := naiveFilter(AllRows(nRows), func(row int) bool { return r.Contains(vals[row]) })
 	got := FilterIntRangeChunked(col, cs, r, sum)
 	selEqual(t, "parallel FilterIntRangeChunked", got, wantSel)
-	wantMed, _ := IntMedian(col, AllRows(nRows))
-	if med, _ := IntMedianChunked(col, got); med == 0 && wantMed != 0 {
-		t.Fatal("parallel median degenerated")
+	wantMed, _ := naiveMedian(naiveInts(col, wantSel))
+	if med, _ := IntMedianChunked(col, got); med != wantMed {
+		t.Fatalf("parallel median %d, want %d", med, wantMed)
 	}
 	bm := NewBitmapChunked(got)
 	if bm.Count() != got.Len() {
@@ -409,7 +396,7 @@ func TestSetChunkRowsSameWidthIsNoOp(t *testing.T) {
 
 // TestFloatRangeChunkedKeepsNaNInSkippedChunks is the regression
 // test for the zone-map NaN hazard: FloatRange.Contains(NaN) is true
-// (the flat filter keeps NaN rows in every range), so a chunk whose
+// (the scan kernel keeps NaN rows in every range), so a chunk whose
 // finite bounds miss the range entirely may only be skipped when the
 // zone map proves it NaN-free.
 func TestFloatRangeChunkedKeepsNaNInSkippedChunks(t *testing.T) {
@@ -426,13 +413,13 @@ func TestFloatRangeChunkedKeepsNaNInSkippedChunks(t *testing.T) {
 	tab.SetChunkRows(chunkRows)
 	col := tab.MustColumn("v").(*FloatColumn)
 	r := FloatRange{Lo: 10, Hi: 30, LoIncl: true, HiIncl: true}
-	want := FilterFloatRange(col, AllRows(len(vals)), r)
+	want := naiveFilter(AllRows(len(vals)), func(row int) bool { return r.Contains(vals[row]) })
 	got := FilterFloatRangeChunked(col, tab.AllChunked(), r, tab.SummaryByName("v"))
 	selEqual(t, "NaN in skip-candidate chunk", got, want)
 	if got.Len() != chunkRows+1 { // chunk 1 plus the NaN row
 		t.Fatalf("kept %d rows, want %d (the NaN row must survive)", got.Len(), chunkRows+1)
 	}
-	// An all-NaN chunk is taken wholesale, like the flat filter.
+	// An all-NaN chunk is taken wholesale, like the scan kernel.
 	allNaN := make([]float64, chunkRows)
 	for i := range allNaN {
 		allNaN[i] = math.NaN()
@@ -440,7 +427,7 @@ func TestFloatRangeChunkedKeepsNaNInSkippedChunks(t *testing.T) {
 	tab2 := MustNewTable("nan2", NewFloatColumn("v", allNaN))
 	tab2.SetChunkRows(chunkRows)
 	col2 := tab2.MustColumn("v").(*FloatColumn)
-	want2 := FilterFloatRange(col2, AllRows(chunkRows), r)
+	want2 := naiveFilter(AllRows(chunkRows), func(row int) bool { return r.Contains(allNaN[row]) })
 	got2 := FilterFloatRangeChunked(col2, tab2.AllChunked(), r, tab2.SummaryByName("v"))
 	selEqual(t, "all-NaN chunk", got2, want2)
 	if got2.Len() != chunkRows {
@@ -448,10 +435,9 @@ func TestFloatRangeChunkedKeepsNaNInSkippedChunks(t *testing.T) {
 	}
 }
 
-// TestFloatCutPointCanonicalZero pins branch-independent zero
-// canonicalization at the engine level: whether the median runs
-// through the parallel rank selection or the sequential quickselect
-// fallback, a zero cut point is +0.0 ("0"), never -0.0 ("-0").
+// TestFloatCutPointCanonicalZero pins zero canonicalization at the
+// engine level: a zero cut point is +0.0 ("0"), never -0.0 ("-0"),
+// whichever zero's bit pattern quickselect landed on.
 func TestFloatCutPointCanonicalZero(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	col := NewFloatColumn("v", []float64{-1, negZero, 5, negZero})
@@ -463,6 +449,71 @@ func TestFloatCutPointCanonicalZero(t *testing.T) {
 	for _, p := range FloatCutPointsChunked(col, cs, 3) {
 		if p == 0 && math.Signbit(p) {
 			t.Fatal("cut point rendered as -0")
+		}
+	}
+}
+
+// TestIntCutPointsSortedMatchesChunked is the splice-path property:
+// cut points read off retained sorted runs (the cut cache's form)
+// equal the uncached quickselect points, on random int columns with
+// heavy duplicates, row counts straddling chunk boundaries, and
+// random sub-selections, at one and several scan workers.
+func TestIntCutPointsSortedMatchesChunked(t *testing.T) {
+	defer SetScanWorkers(0)
+	rng := rand.New(rand.NewSource(43))
+	const chunkRows = 64
+	for trial := 0; trial < 60; trial++ {
+		nRows := chunkRows*(1+rng.Intn(5)) + rng.Intn(3) - 1 // k·64−1, k·64, k·64+1
+		vals := make([]int64, nRows)
+		spread := 1 + rng.Intn(6)
+		for i := range vals {
+			vals[i] = int64(rng.Intn(spread)) * 10
+		}
+		col := NewIntColumn("v", vals)
+		sel := naiveFilter(AllRows(nRows), func(int) bool { return rng.Intn(4) != 0 })
+		cs := ChunkSelection(sel, nRows, chunkRows)
+		for _, workers := range []int{1, 3} {
+			SetScanWorkers(workers)
+			for _, arity := range []int{2, 3, 5} {
+				want := IntCutPointsChunked(col, cs, arity)
+				got := IntCutPointsSorted(IntSortedRuns(col, cs), arity)
+				if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+					t.Fatalf("trial %d rows %d arity %d: sorted runs %v, quickselect %v", trial, nRows, arity, got, want)
+				}
+				if oracle := naiveCutPoints(naiveInts(col, sel), arity); !reflect.DeepEqual(want, oracle) && len(want)+len(oracle) > 0 {
+					t.Fatalf("trial %d rows %d arity %d: quickselect %v, oracle %v", trial, nRows, arity, want, oracle)
+				}
+			}
+		}
+	}
+}
+
+// TestFloatOrderStatsNaNAndSignedZero pins the float order
+// statistics on NaN, −0.0 and +0.0 together: NaN carries no rank and
+// is skipped, and a selected zero comes back as +0.0 whichever zero
+// the data held at that rank, for every chunk width.
+func TestFloatOrderStatsNaNAndSignedZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	vals := []float64{math.NaN(), negZero, 3, 0, negZero, math.NaN(), -2, 0, negZero, math.NaN()}
+	finite := naiveFiniteFloats(NewFloatColumn("v", vals), AllRows(len(vals)))
+	col := NewFloatColumn("v", vals)
+	for _, chunkRows := range []int{1, 2, 3, 64} {
+		cs := ChunkSelection(AllRows(len(vals)), len(vals), chunkRows)
+		med, ok := FloatMedianChunked(col, cs)
+		if !ok || med != 0 || math.Signbit(med) {
+			t.Fatalf("chunkRows=%d: median = %v (signbit %v), want +0", chunkRows, med, math.Signbit(med))
+		}
+		for _, arity := range []int{2, 3, 4} {
+			got := FloatCutPointsChunked(col, cs, arity)
+			want := naiveCutPoints(finite, arity)
+			if len(got) != len(want) {
+				t.Fatalf("chunkRows=%d arity=%d: points %v, want %v", chunkRows, arity, got, want)
+			}
+			for i, p := range got {
+				if p != want[i] || math.IsNaN(p) || (p == 0 && math.Signbit(p)) {
+					t.Fatalf("chunkRows=%d arity=%d: points %v, want %v with +0", chunkRows, arity, got, want)
+				}
+			}
 		}
 	}
 }

@@ -9,9 +9,7 @@ import (
 
 // GatherIntChunked materializes col's int64 values per chunk: one
 // output slice per chunk, aligned with cs's segments, gathered
-// across the scan worker pool. Unlike GatherInt there is no global
-// copy — downstream chunked order statistics consume the shards
-// directly.
+// across the scan worker pool.
 func GatherIntChunked(col IntValued, cs *ChunkedSelection) [][]int64 {
 	out := make([][]int64, cs.NumChunks())
 	forEachSeg(cs, func(c int) {
@@ -93,9 +91,11 @@ func IntMinMaxChunked(col IntValued, cs *ChunkedSelection) (min, max int64, ok b
 	return min, max, true
 }
 
-// FloatMinMaxChunked is IntMinMaxChunked over floats, ignoring NaN
-// exactly like FloatMinMax: NaN rows never seed or move a bound, and
-// an all-NaN selection yields NaN bounds.
+// FloatMinMaxChunked is IntMinMaxChunked over floats, ignoring NaN:
+// NaN compares false against everything, so letting one seed a
+// running bound would poison it and make the result depend on where
+// chunk boundaries fall. NaN rows never seed or move a bound, and an
+// all-NaN selection yields NaN bounds.
 func FloatMinMaxChunked(col FloatValued, cs *ChunkedSelection) (min, max float64, ok bool) {
 	if cs.Len() == 0 {
 		return 0, 0, false
@@ -135,15 +135,14 @@ func FloatMinMaxChunked(col FloatValued, cs *ChunkedSelection) (min, max float64
 	return min, max, true
 }
 
-// statWorkers reserves scan-pool slots for a chunked order-statistic
-// computation (per-chunk sorts), returning the worker count to hand
-// to internal/stats and the paired release. Routing the sort through
-// the same slot budget (reserveSegSlots) as the scans keeps nested
-// parallelism — many advise workers each computing cut points — from
-// oversubscribing the scheduler, exactly like the chunked scans
-// themselves. Reserve only after the gather phase: the gather takes
-// slots of its own, and holding them across it would starve it to
-// sequential.
+// statWorkers reserves scan-pool slots for a chunked computation
+// that fans out by itself (value-count bands, per-chunk sorts),
+// returning the worker count and the paired release. Routing it
+// through the same slot budget (reserveSegSlots) as the scans keeps
+// nested parallelism — many advise workers each computing cut
+// points — from oversubscribing the scheduler. Reserve only after
+// any gather phase: the gather takes slots of its own, and holding
+// them across it would starve it to sequential.
 func statWorkers(cs *ChunkedSelection) (workers int, release func()) {
 	extra, release := reserveSegSlots(cs)
 	return extra + 1, release
@@ -201,11 +200,10 @@ func flattenFloat64Scratch(chunks [][]float64, n int) (*[]float64, []float64) {
 	return p, out
 }
 
-// posZero canonicalizes -0.0 to +0.0. The chunked rank selection
-// always returns +0.0 for a selected zero; the sequential fallbacks
-// (quickselect, flat sort) return whichever zero's bit pattern sat
-// at the rank, and the two must not render differently ("-0" vs
-// "0") based on which branch a call happened to take.
+// posZero canonicalizes -0.0 to +0.0. -0.0 and +0.0 compare equal,
+// so quickselect returns whichever zero's bit pattern happened to sit
+// at the rank; canonicalizing keeps a selected zero rendering as "0",
+// never "-0", whatever the scan order was.
 func posZero(v float64) float64 {
 	if v == 0 {
 		return 0
@@ -213,21 +211,12 @@ func posZero(v float64) float64 {
 	return v
 }
 
-func posZeros(vals []float64) []float64 {
-	for i, v := range vals {
-		vals[i] = posZero(v)
-	}
-	return vals
-}
-
 // gatherFloatFinite is GatherFloatChunked minus NaN values, into
 // pooled scratch buffers: the order statistics (medians, equi-depth
 // points) need a totally ordered multiset, and NaN has no rank.
-// Dropping it here — always, in every branch — keeps the cut points
-// deterministic: they depend only on the finite values, never on
-// which algorithm or worker count a particular call happened to get.
-// (This mirrors the NaN convention of FloatMinMax.) n is the
-// finite-value total. Callers must not retain any shard past
+// Dropping it here keeps the cut points a function of the finite
+// values only, mirroring the NaN convention of FloatMinMaxChunked. n
+// is the finite-value total. Callers must not retain any shard past
 // release.
 func gatherFloatFinite(col FloatValued, cs *ChunkedSelection) (chunks [][]float64, n int, release func()) {
 	nc := cs.NumChunks()
@@ -261,13 +250,8 @@ func gatherFloatFinite(col FloatValued, cs *ChunkedSelection) (chunks [][]float6
 }
 
 // IntMedianChunked returns the upper median of col over cs — the
-// Definition 5 cut point. With parallelism granted it never
-// materializes a flat vector: per-chunk gather, per-chunk parallel
-// sort, then one rank selection across the sorted shards. Sequential
-// calls take the O(n) quickselect over the flattened shards instead
-// — sorting only pays for itself when the chunks sort concurrently —
-// and both algorithms return the same k-th smallest element, so the
-// choice never shows in the output. ok is false when the selection
+// Definition 5 cut point: per-chunk gather into pooled scratch, one
+// flatten, then an O(n) quickselect. ok is false when the selection
 // is empty.
 func IntMedianChunked(col IntValued, cs *ChunkedSelection) (int64, bool) {
 	if cs.Len() == 0 {
@@ -275,19 +259,15 @@ func IntMedianChunked(col IntValued, cs *ChunkedSelection) (int64, bool) {
 	}
 	chunks, put := gatherIntScratch(col, cs)
 	defer put()
-	workers, release := statWorkers(cs)
-	defer release()
-	if workers <= 1 {
-		p, flat := flattenInt64Scratch(chunks, cs.Len())
-		defer int64Scratch.Put(p)
-		return stats.MedianInt64(flat), true
-	}
-	return stats.MedianInt64Chunks(chunks, workers), true
+	p, flat := flattenInt64Scratch(chunks, cs.Len())
+	defer int64Scratch.Put(p)
+	return stats.MedianInt64(flat), true
 }
 
 // FloatMedianChunked is IntMedianChunked for float columns. NaN
 // values carry no rank and are excluded before selection; an all-NaN
-// extent has no median (ok = false).
+// extent has no median (ok = false). A selected zero is returned as
+// +0.0.
 func FloatMedianChunked(col FloatValued, cs *ChunkedSelection) (float64, bool) {
 	if cs.Len() == 0 {
 		return 0, false
@@ -297,36 +277,29 @@ func FloatMedianChunked(col FloatValued, cs *ChunkedSelection) (float64, bool) {
 	if n == 0 {
 		return 0, false
 	}
-	workers, release := statWorkers(cs)
-	defer release()
-	if workers <= 1 {
-		p, flat := flattenFloat64Scratch(chunks, n)
-		defer float64Scratch.Put(p)
-		return posZero(stats.MedianFloat64(flat)), true
-	}
-	return stats.MedianFloat64Chunks(chunks, workers), true
+	p, flat := flattenFloat64Scratch(chunks, n)
+	defer float64Scratch.Put(p)
+	return posZero(stats.MedianFloat64(flat)), true
 }
 
-// IntCutPointsChunked returns the same strictly increasing
-// equi-depth points as IntCutPoints, computed shard-at-a-time.
+// IntCutPointsChunked returns up to arity−1 strictly increasing
+// equi-depth cut points of col over cs (Section 5.2's quantile
+// generalization; arity 2 is the paper's median cut), by the same
+// gather, flatten and quickselect as IntMedianChunked.
 func IntCutPointsChunked(col IntValued, cs *ChunkedSelection, arity int) []int64 {
 	if cs.Len() == 0 {
 		return nil
 	}
 	chunks, put := gatherIntScratch(col, cs)
 	defer put()
-	workers, release := statWorkers(cs)
-	defer release()
-	if workers <= 1 {
-		p, flat := flattenInt64Scratch(chunks, cs.Len())
-		defer int64Scratch.Put(p)
-		return stats.EquiDepthPoints(flat, arity)
-	}
-	return stats.EquiDepthPointsChunks(chunks, arity, workers)
+	p, flat := flattenInt64Scratch(chunks, cs.Len())
+	defer int64Scratch.Put(p)
+	return stats.EquiDepthPoints(flat, arity)
 }
 
 // FloatCutPointsChunked is IntCutPointsChunked for float columns,
-// with NaN values excluded like FloatMedianChunked.
+// with NaN values excluded and zeros canonicalized like
+// FloatMedianChunked.
 func FloatCutPointsChunked(col FloatValued, cs *ChunkedSelection, arity int) []float64 {
 	if cs.Len() == 0 {
 		return nil
@@ -336,14 +309,13 @@ func FloatCutPointsChunked(col FloatValued, cs *ChunkedSelection, arity int) []f
 	if n == 0 {
 		return nil
 	}
-	workers, release := statWorkers(cs)
-	defer release()
-	if workers <= 1 {
-		p, flat := flattenFloat64Scratch(chunks, n)
-		defer float64Scratch.Put(p)
-		return posZeros(stats.EquiDepthPointsFloat64(flat, arity))
+	p, flat := flattenFloat64Scratch(chunks, n)
+	defer float64Scratch.Put(p)
+	points := stats.EquiDepthPointsFloat64(flat, arity)
+	for i, v := range points {
+		points[i] = posZero(v)
 	}
-	return stats.EquiDepthPointsChunksFloat64(chunks, arity, workers)
+	return points
 }
 
 // StringValueCountsChunked returns the per-value frequencies of col
@@ -351,8 +323,8 @@ func FloatCutPointsChunked(col FloatValued, cs *ChunkedSelection, arity int) []f
 // per band, so the transient memory is worker-count × cardinality —
 // not chunk-count × cardinality, which on a 10M-row table with a
 // high-cardinality column would dwarf the data scanned. Counts are
-// additive, so the band merge is order-independent and the result
-// (ordered by dictionary code) matches StringValueCounts exactly.
+// additive, so the band merge is order-independent and the result is
+// ordered by dictionary code whatever the band count.
 func StringValueCountsChunked(col *StringColumn, cs *ChunkedSelection) []stats.ValueCount {
 	codes := col.Codes()
 	nc := cs.NumChunks()

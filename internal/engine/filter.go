@@ -39,11 +39,8 @@ func (r FloatRange) Contains(v float64) bool {
 }
 
 // The scan kernels below narrow one contiguous sub-selection by one
-// typed predicate, with no per-row indirection. They are the single
-// implementation of each predicate: the flat filters run them via
-// parallelFilter (equal-sized pieces of one selection) and the
-// chunked filters via filterSegs (one table chunk per task), so the
-// two paths cannot drift apart.
+// typed predicate, with no per-row indirection. The chunked filters
+// run them through filterSegs, one table chunk per task.
 
 func scanIntRange(col IntValued, part Selection, r IntRange) Selection {
 	out := make(Selection, 0, len(part))
@@ -171,8 +168,7 @@ func int64Set(values []int64) (want map[int64]struct{}, min, max int64) {
 
 // float64Set is int64Set over floats. NaN values enter the map (as
 // unreachable entries, matching no row — map lookups never find NaN
-// keys, the same convention the flat filter always had) but are
-// excluded from the hull.
+// keys) but are excluded from the hull.
 func float64Set(values []float64) (want map[float64]struct{}, min, max float64) {
 	want = make(map[float64]struct{}, len(values))
 	first := true
@@ -208,84 +204,4 @@ func boolWants(values []bool) (wantTrue, wantFalse bool) {
 		}
 	}
 	return wantTrue, wantFalse
-}
-
-// The filters below all narrow a sorted selection by one typed
-// predicate. Each routes through parallelFilter: large selections
-// are scanned chunk-at-a-time on all scan workers, small ones on the
-// calling goroutine, and either way the typed inner loop runs over a
-// contiguous sub-selection with no per-row indirection.
-
-// FilterIntRange narrows sel to rows whose column value lies in r.
-func FilterIntRange(col IntValued, sel Selection, r IntRange) Selection {
-	return parallelFilter(sel, func(part Selection) Selection {
-		return scanIntRange(col, part, r)
-	})
-}
-
-// FilterFloatRange narrows sel to rows whose column value lies in r.
-func FilterFloatRange(col FloatValued, sel Selection, r FloatRange) Selection {
-	return parallelFilter(sel, func(part Selection) Selection {
-		return scanFloatRange(col, part, r)
-	})
-}
-
-// FilterStringSet narrows sel to rows whose string value is one of
-// values. Membership is tested on dictionary codes: one map lookup
-// per distinct value, then a dense code probe per row.
-func FilterStringSet(col *StringColumn, sel Selection, values []string) Selection {
-	if len(values) == 0 {
-		return Selection{}
-	}
-	want := stringCodeSet(col, values)
-	if len(want) == 0 {
-		return Selection{}
-	}
-	codes := col.Codes()
-	return parallelFilter(sel, func(part Selection) Selection {
-		return scanCodeSet(codes, part, want)
-	})
-}
-
-// FilterIntSet narrows sel to rows whose int64 value appears in
-// values (set constraints on integer or date columns).
-func FilterIntSet(col IntValued, sel Selection, values []int64) Selection {
-	if len(values) == 0 {
-		return Selection{}
-	}
-	want, _, _ := int64Set(values)
-	return parallelFilter(sel, func(part Selection) Selection {
-		return scanIntSet(col, part, want)
-	})
-}
-
-// FilterFloatSet narrows sel to rows whose float64 value appears in
-// values (set constraints on float columns).
-func FilterFloatSet(col FloatValued, sel Selection, values []float64) Selection {
-	if len(values) == 0 {
-		return Selection{}
-	}
-	want, _, _ := float64Set(values)
-	return parallelFilter(sel, func(part Selection) Selection {
-		return scanFloatSet(col, part, want)
-	})
-}
-
-// FilterStringRange narrows sel to rows whose string value lies in
-// the lexicographic interval [lo, hi] with the given inclusivity.
-// SDL never generates string ranges from cuts, but users may type
-// them; this is the completeness path.
-func FilterStringRange(col *StringColumn, sel Selection, lo, hi string, loIncl, hiIncl bool) Selection {
-	return parallelFilter(sel, func(part Selection) Selection {
-		return scanStringRange(col, part, lo, hi, loIncl, hiIncl)
-	})
-}
-
-// FilterBoolSet narrows sel to rows whose boolean value appears in
-// values (a one- or two-element set).
-func FilterBoolSet(col *BoolColumn, sel Selection, values []bool) Selection {
-	wantTrue, wantFalse := boolWants(values)
-	return parallelFilter(sel, func(part Selection) Selection {
-		return scanBoolSet(col, part, wantTrue, wantFalse)
-	})
 }

@@ -32,50 +32,52 @@ func TestFloatRangeContains(t *testing.T) {
 
 func TestFilterIntRange(t *testing.T) {
 	col := NewIntColumn("tonnage", []int64{100, 200, 300, 400, 500})
-	sel := AllRows(5)
-	got := FilterIntRange(col, sel, IntRange{Lo: 200, Hi: 400, LoIncl: true, HiIncl: false})
+	sel := chunk3(AllRows(5), 5)
+	got := FilterIntRangeChunked(col, sel, IntRange{Lo: 200, Hi: 400, LoIncl: true, HiIncl: false}, nil).Flat()
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("FilterIntRange = %v, want [1 2]", got)
+		t.Fatalf("FilterIntRangeChunked = %v, want [1 2]", got)
 	}
 	// Filtering a narrowed selection only looks at its rows.
-	got = FilterIntRange(col, Selection{0, 4}, IntRange{Lo: 0, Hi: 1000, LoIncl: true, HiIncl: true})
+	got = FilterIntRangeChunked(col, chunk3(Selection{0, 4}, 5), IntRange{Lo: 0, Hi: 1000, LoIncl: true, HiIncl: true}, nil).Flat()
 	if len(got) != 2 || got[0] != 0 || got[1] != 4 {
-		t.Fatalf("FilterIntRange on subset = %v, want [0 4]", got)
+		t.Fatalf("FilterIntRangeChunked on subset = %v, want [0 4]", got)
 	}
 }
 
 func TestFilterFloatRange(t *testing.T) {
 	col := NewFloatColumn("speed", []float64{1, 2, 3, 4})
-	got := FilterFloatRange(col, AllRows(4), FloatRange{Lo: 2, Hi: 3, LoIncl: true, HiIncl: true})
+	got := FilterFloatRangeChunked(col, chunk3(AllRows(4), 4), FloatRange{Lo: 2, Hi: 3, LoIncl: true, HiIncl: true}, nil).Flat()
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("FilterFloatRange = %v", got)
+		t.Fatalf("FilterFloatRangeChunked = %v", got)
 	}
 }
 
 func TestFilterStringSet(t *testing.T) {
 	col := NewStringColumn("harbour", []string{"bantam", "surat", "zeeland", "bantam", "surat"})
-	got := FilterStringSet(col, AllRows(5), []string{"bantam", "zeeland"})
+	all := chunk3(AllRows(5), 5)
+	got := FilterStringSetChunked(col, all, []string{"bantam", "zeeland"}, nil).Flat()
 	if len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("FilterStringSet = %v, want [0 2 3]", got)
+		t.Fatalf("FilterStringSetChunked = %v, want [0 2 3]", got)
 	}
-	if got := FilterStringSet(col, AllRows(5), nil); len(got) != 0 {
-		t.Fatalf("empty set selected %v", got)
+	if got := FilterStringSetChunked(col, all, nil, nil); got.Len() != 0 {
+		t.Fatalf("empty set selected %v", got.Flat())
 	}
-	if got := FilterStringSet(col, AllRows(5), []string{"amsterdam"}); len(got) != 0 {
-		t.Fatalf("unknown value selected %v", got)
+	if got := FilterStringSetChunked(col, all, []string{"amsterdam"}, nil); got.Len() != 0 {
+		t.Fatalf("unknown value selected %v", got.Flat())
 	}
 }
 
 func TestFilterBoolSet(t *testing.T) {
 	col := NewBoolColumn("armed", []bool{true, false, true, false})
-	if got := FilterBoolSet(col, AllRows(4), []bool{true}); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("FilterBoolSet(true) = %v", got)
+	all := chunk3(AllRows(4), 4)
+	if got := FilterBoolSetChunked(col, all, []bool{true}, nil).Flat(); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Fatalf("FilterBoolSetChunked(true) = %v", got)
 	}
-	if got := FilterBoolSet(col, AllRows(4), []bool{true, false}); len(got) != 4 {
-		t.Fatalf("FilterBoolSet(both) = %v", got)
+	if got := FilterBoolSetChunked(col, all, []bool{true, false}, nil); got.Len() != 4 {
+		t.Fatalf("FilterBoolSetChunked(both) = %v", got.Flat())
 	}
-	if got := FilterBoolSet(col, AllRows(4), nil); len(got) != 0 {
-		t.Fatalf("FilterBoolSet(none) = %v", got)
+	if got := FilterBoolSetChunked(col, all, nil, nil); got.Len() != 0 {
+		t.Fatalf("FilterBoolSetChunked(none) = %v", got.Flat())
 	}
 }
 
@@ -87,12 +89,13 @@ func TestFilterPreservesSortedProperty(t *testing.T) {
 		}
 		return vals
 	}())
+	all := ChunkSelection(AllRows(500), 500, 64)
 	f := func(lo, hi uint8) bool {
 		l, h := int64(lo), int64(hi)
 		if l > h {
 			l, h = h, l
 		}
-		got := FilterIntRange(col, AllRows(500), IntRange{Lo: l, Hi: h, LoIncl: true, HiIncl: true})
+		got := FilterIntRangeChunked(col, all, IntRange{Lo: l, Hi: h, LoIncl: true, HiIncl: true}, nil).Flat()
 		return got.IsSorted() || len(got) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -109,7 +112,7 @@ func TestFilterMatchesNaiveScanProperty(t *testing.T) {
 			l, h = h, l
 		}
 		r := IntRange{Lo: l, Hi: h, LoIncl: true, HiIncl: false}
-		got := FilterIntRange(col, AllRows(len(vals)), r)
+		got := FilterIntRangeChunked(col, chunk3(AllRows(len(vals)), len(vals)), r, nil).Flat()
 		want := Selection{}
 		for i, v := range vals {
 			if v >= l && v < h {

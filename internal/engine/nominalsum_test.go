@@ -177,7 +177,7 @@ func TestNominalSparseSummaryAndOverflow(t *testing.T) {
 	wantVals := []string{"u0000", "u2500", "u4999"}
 	selEqual(t, "sparse set filter",
 		FilterStringSetChunked(col, all, wantVals, sum),
-		FilterStringSet(col, flatAll, wantVals))
+		naiveStringSet(col, flatAll, wantVals))
 	verdict := codeSetVerdict(sum, stringCodeSet(col, wantVals))
 	if got := verdict(1); got != chunkSkip {
 		t.Fatalf("uninvolved chunk verdict = %d, want skip", got)
@@ -211,7 +211,7 @@ func TestNominalSparseSummaryAndOverflow(t *testing.T) {
 	}
 	selEqual(t, "overflow set filter",
 		FilterStringSetChunked(ocol, otab.AllChunked(), []string{"w00000", "w04000"}, osum),
-		FilterStringSet(ocol, otab.All(), []string{"w00000", "w04000"}))
+		naiveStringSet(ocol, otab.All(), []string{"w00000", "w04000"}))
 	// An all-overflowed summary cannot prune: the string-range filter
 	// must refuse the O(dictionary) code-set resolution and take the
 	// direct comparison scan — with identical results.
@@ -223,7 +223,7 @@ func TestNominalSparseSummaryAndOverflow(t *testing.T) {
 	}
 	selEqual(t, "overflow string range",
 		FilterStringRangeChunked(ocol, otab.AllChunked(), "w00100", "w00300", true, true, osum),
-		FilterStringRange(ocol, otab.All(), "w00100", "w00300", true, true))
+		naiveFilter(otab.All(), func(row int) bool { v := ocol.Str(row); return v >= "w00100" && v <= "w00300" }))
 }
 
 // TestNominalSummaryReShard pins the layout-snapshot contract: a
@@ -262,11 +262,11 @@ func TestNominalSummaryReShard(t *testing.T) {
 	oldCS := AllRowsChunked(1000, 64)
 	selEqual(t, "old layout + old summary",
 		FilterStringSetChunked(col, oldCS, []string{"b", "d"}, oldSum),
-		FilterStringSet(col, tab.All(), []string{"b", "d"}))
+		naiveStringSet(col, tab.All(), []string{"b", "d"}))
 	// And the new layout with the new summary agrees too.
 	selEqual(t, "new layout + new summary",
 		FilterStringSetChunked(col, tab.AllChunked(), []string{"b", "d"}, newSum),
-		FilterStringSet(col, tab.All(), []string{"b", "d"}))
+		naiveStringSet(col, tab.All(), []string{"b", "d"}))
 	if !reflect.DeepEqual(
 		FilterStringSetChunked(col, oldCS, []string{"b", "d"}, oldSum).Flat(),
 		FilterStringSetChunked(col, tab.AllChunked(), []string{"b", "d"}, newSum).Flat()) {

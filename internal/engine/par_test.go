@@ -16,8 +16,8 @@ func withScanWorkers(t *testing.T, n int, fn func()) {
 }
 
 // parTable builds a selection large enough to trigger the chunked
-// scan path (above parallelScanMinRows).
-func parTable(t *testing.T) (*IntColumn, *FloatColumn, *StringColumn, Selection) {
+// scan fan-out (above parallelScanMinRows), over 4K-row chunks.
+func parTable(t *testing.T) (*IntColumn, *FloatColumn, *StringColumn, *ChunkedSelection) {
 	t.Helper()
 	n := parallelScanMinRows * 2
 	ints := make([]int64, n)
@@ -28,7 +28,7 @@ func parTable(t *testing.T) (*IntColumn, *FloatColumn, *StringColumn, Selection)
 		floats[i] = float64(ints[i]) / 3
 		strs[i] = fmt.Sprintf("v%d", i%13)
 	}
-	return NewIntColumn("i", ints), NewFloatColumn("f", floats), NewStringColumn("s", strs), AllRows(n)
+	return NewIntColumn("i", ints), NewFloatColumn("f", floats), NewStringColumn("s", strs), AllRowsChunked(n, 1<<12)
 }
 
 func TestParallelFiltersMatchSequential(t *testing.T) {
@@ -38,14 +38,14 @@ func TestParallelFiltersMatchSequential(t *testing.T) {
 	fr := FloatRange{Lo: 50, Hi: 200, LoIncl: true, HiIncl: true}
 	want := []string{"v3", "v7", "v11"}
 	withScanWorkers(t, 1, func() {
-		seqInt = FilterIntRange(ic, all, r)
-		seqFloat = FilterFloatRange(fc, all, fr)
-		seqStr = FilterStringSet(sc, all, want)
+		seqInt = FilterIntRangeChunked(ic, all, r, nil).Flat()
+		seqFloat = FilterFloatRangeChunked(fc, all, fr, nil).Flat()
+		seqStr = FilterStringSetChunked(sc, all, want, nil).Flat()
 	})
 	withScanWorkers(t, 4, func() {
-		parInt = FilterIntRange(ic, all, r)
-		parFloat = FilterFloatRange(fc, all, fr)
-		parStr = FilterStringSet(sc, all, want)
+		parInt = FilterIntRangeChunked(ic, all, r, nil).Flat()
+		parFloat = FilterFloatRangeChunked(fc, all, fr, nil).Flat()
+		parStr = FilterStringSetChunked(sc, all, want, nil).Flat()
 	})
 	for name, pair := range map[string][2]Selection{
 		"int":    {seqInt, parInt},
@@ -77,43 +77,43 @@ func TestParallelStatsMatchSequential(t *testing.T) {
 	var seqFMin, seqFMax, parFMin, parFMax float64
 	var seqCounts, parCounts map[string]int
 	withScanWorkers(t, 1, func() {
-		seqMin, seqMax, _ = IntMinMax(ic, all)
-		seqFMin, seqFMax, _ = FloatMinMax(fc, all)
-		seqGather = GatherInt(ic, all)
+		seqMin, seqMax, _ = IntMinMaxChunked(ic, all)
+		seqFMin, seqFMax, _ = FloatMinMaxChunked(fc, all)
+		seqGather = flatInts(GatherIntChunked(ic, all))
 		seqCounts = map[string]int{}
-		for _, vc := range StringValueCounts(sc, all) {
+		for _, vc := range StringValueCountsChunked(sc, all) {
 			seqCounts[vc.Value] = vc.Count
 		}
 	})
 	withScanWorkers(t, 4, func() {
-		parMin, parMax, _ = IntMinMax(ic, all)
-		parFMin, parFMax, _ = FloatMinMax(fc, all)
-		parGather = GatherInt(ic, all)
+		parMin, parMax, _ = IntMinMaxChunked(ic, all)
+		parFMin, parFMax, _ = FloatMinMaxChunked(fc, all)
+		parGather = flatInts(GatherIntChunked(ic, all))
 		parCounts = map[string]int{}
-		for _, vc := range StringValueCounts(sc, all) {
+		for _, vc := range StringValueCountsChunked(sc, all) {
 			parCounts[vc.Value] = vc.Count
 		}
 	})
 	if seqMin != parMin || seqMax != parMax {
-		t.Fatalf("IntMinMax: parallel (%d,%d) vs sequential (%d,%d)", parMin, parMax, seqMin, seqMax)
+		t.Fatalf("IntMinMaxChunked: parallel (%d,%d) vs sequential (%d,%d)", parMin, parMax, seqMin, seqMax)
 	}
 	if seqFMin != parFMin || seqFMax != parFMax {
-		t.Fatalf("FloatMinMax: parallel (%v,%v) vs sequential (%v,%v)", parFMin, parFMax, seqFMin, seqFMax)
+		t.Fatalf("FloatMinMaxChunked: parallel (%v,%v) vs sequential (%v,%v)", parFMin, parFMax, seqFMin, seqFMax)
 	}
 	if len(seqGather) != len(parGather) {
-		t.Fatalf("GatherInt length mismatch")
+		t.Fatalf("GatherIntChunked length mismatch")
 	}
 	for i := range seqGather {
 		if seqGather[i] != parGather[i] {
-			t.Fatalf("GatherInt: index %d differs", i)
+			t.Fatalf("GatherIntChunked: index %d differs", i)
 		}
 	}
 	if len(seqCounts) != len(parCounts) {
-		t.Fatalf("StringValueCounts: %d values vs %d", len(parCounts), len(seqCounts))
+		t.Fatalf("StringValueCountsChunked: %d values vs %d", len(parCounts), len(seqCounts))
 	}
 	for v, n := range seqCounts {
 		if parCounts[v] != n {
-			t.Fatalf("StringValueCounts: %q = %d, want %d", v, parCounts[v], n)
+			t.Fatalf("StringValueCountsChunked: %q = %d, want %d", v, parCounts[v], n)
 		}
 	}
 }
@@ -132,26 +132,29 @@ func TestFloatMinMaxIgnoresNaNAcrossChunkings(t *testing.T) {
 		vals[i] = math.NaN()
 	}
 	col := NewFloatColumn("f", vals)
-	all := AllRows(n)
-	var seqMin, seqMax, parMin, parMax float64
-	withScanWorkers(t, 1, func() { seqMin, seqMax, _ = FloatMinMax(col, all) })
-	withScanWorkers(t, 4, func() { parMin, parMax, _ = FloatMinMax(col, all) })
-	if seqMin != parMin || seqMax != parMax {
-		t.Fatalf("NaN-laden column: parallel (%v,%v) vs sequential (%v,%v)", parMin, parMax, seqMin, seqMax)
-	}
-	if seqMin != 0 || seqMax != 996 {
-		t.Fatalf("bounds (%v,%v), want (0,996): NaN leaked into a bound", seqMin, seqMax)
+	for _, chunkRows := range []int{64, 1 << 12, 1 << 16} {
+		all := AllRowsChunked(n, chunkRows)
+		var seqMin, seqMax, parMin, parMax float64
+		withScanWorkers(t, 1, func() { seqMin, seqMax, _ = FloatMinMaxChunked(col, all) })
+		withScanWorkers(t, 4, func() { parMin, parMax, _ = FloatMinMaxChunked(col, all) })
+		if seqMin != parMin || seqMax != parMax {
+			t.Fatalf("chunkRows=%d: parallel (%v,%v) vs sequential (%v,%v)", chunkRows, parMin, parMax, seqMin, seqMax)
+		}
+		if seqMin != 0 || seqMax != 996 {
+			t.Fatalf("chunkRows=%d: bounds (%v,%v), want (0,996): NaN leaked into a bound", chunkRows, seqMin, seqMax)
+		}
 	}
 }
 
 // TestScanSlotsReleased checks the process-wide scan-goroutine
 // budget drains back to zero after parallel scans.
 func TestScanSlotsReleased(t *testing.T) {
-	_, fc, _, all := parTable(t)
+	ic, fc, _, all := parTable(t)
 	withScanWorkers(t, 4, func() {
 		for i := 0; i < 10; i++ {
-			FilterFloatRange(fc, all, FloatRange{Lo: 0, Hi: 100, LoIncl: true, HiIncl: true})
-			FloatMinMax(fc, all)
+			FilterFloatRangeChunked(fc, all, FloatRange{Lo: 0, Hi: 100, LoIncl: true, HiIncl: true}, nil)
+			FloatMinMaxChunked(fc, all)
+			IntMedianChunked(ic, all)
 		}
 	})
 	if n := activeScanGoroutines.Load(); n != 0 {

@@ -51,7 +51,7 @@ func (rt *RowTable) ColumnIndex(name string) int {
 }
 
 // CountIntRange counts rows whose col value lies in r — the
-// row-at-a-time version of FilterIntRange + len.
+// row-at-a-time version of FilterIntRangeChunked + Len.
 func (rt *RowTable) CountIntRange(col int, r IntRange) int {
 	n := 0
 	for _, row := range rt.rows {

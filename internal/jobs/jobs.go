@@ -85,6 +85,12 @@ var (
 	ErrNotFound = errors.New("jobs: no such job")
 )
 
+// ErrPanicked is wrapped by the error of a job whose RunFunc panicked
+// and was contained by its worker: a bug in the server, where any
+// other failure is the advise's own answer to its input. Test with
+// errors.Is.
+var ErrPanicked = errors.New("jobs: panic recovered")
+
 // RunFunc is the work one job performs. It must honor ctx (return
 // promptly with ctx.Err() once cancelled) and may report progress;
 // both are threaded straight into Advisor.AdviseCtx by the server.
@@ -334,18 +340,6 @@ func (m *Manager) SubmitTimeout(key string, run RunFunc, timeout time.Duration) 
 	m.submitted++
 	m.cond.Signal()
 	return j, nil
-}
-
-// Peek returns the job currently registered under key — queued,
-// running, or successfully done within the TTL — without submitting
-// anything. Synchronous callers use it to join work the async side
-// already has in flight.
-func (m *Manager) Peek(key string) (*Job, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.purgeLocked(time.Now())
-	j, ok := m.byKey[key]
-	return j, ok
 }
 
 // Get returns a snapshot of the job, or ErrNotFound once it expired.
@@ -612,7 +606,7 @@ func (m *Manager) runContained(j *Job, ctx context.Context) (res *core.Result, e
 			m.opt.Metrics.PanicsRecovered.Inc()
 		}
 		log.Printf("jobs: panic recovered in job %s: %v\n%s", j.id, r, debug.Stack())
-		res, err = nil, fmt.Errorf("jobs: panic recovered in job %s: %v", j.id, r)
+		res, err = nil, fmt.Errorf("%w in job %s: %v", ErrPanicked, j.id, r)
 	}()
 	if ferr := fault.Inject("jobs.run"); ferr != nil {
 		return nil, fmt.Errorf("jobs: job %s: %w", j.id, ferr)

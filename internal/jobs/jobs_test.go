@@ -450,70 +450,6 @@ func TestConcurrentSubmitCancelPoll(t *testing.T) {
 	wg.Wait()
 }
 
-// TestGroupSingleFlight pins the synchronous coalescing helper the
-// server's result-cache path shares: concurrent calls under one key
-// run fn once, and nothing is retained afterwards (a later call runs
-// fresh — errors are never cached).
-func TestGroupSingleFlight(t *testing.T) {
-	var g Group
-	var runs atomic.Int64
-	release := make(chan struct{})
-	const M = 6
-	var wg sync.WaitGroup
-	wg.Add(M)
-	shared := make([]bool, M)
-	for i := 0; i < M; i++ {
-		go func(i int) {
-			defer wg.Done()
-			res, err, sh := g.Do("k", func() (*core.Result, error) {
-				runs.Add(1)
-				<-release
-				return &core.Result{}, nil
-			})
-			if err != nil || res == nil {
-				t.Errorf("Do: res=%v err=%v", res, err)
-			}
-			shared[i] = sh
-		}(i)
-	}
-	// Let the leader register and give the others time to join its
-	// flight before releasing it.
-	for runs.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond)
-	close(release)
-	wg.Wait()
-	// Every caller either ran fn itself or shared a flight; with the
-	// join window above, all but the leader share. A caller that
-	// raced past the flight re-runs legitimately, so pin the
-	// invariant and that coalescing actually happened.
-	nShared := 0
-	for _, sh := range shared {
-		if sh {
-			nShared++
-		}
-	}
-	if got := int(runs.Load()); got != M-nShared {
-		t.Fatalf("runs = %d with %d sharers, want %d", got, nShared, M-nShared)
-	}
-	if nShared < 1 {
-		t.Fatal("no caller shared the flight — nothing coalesced")
-	}
-	// The flight is forgotten once done: a new call runs again, and
-	// its error is handed out, not retained.
-	before := runs.Load()
-	if _, err, sh := g.Do("k", func() (*core.Result, error) {
-		runs.Add(1)
-		return nil, errors.New("boom")
-	}); sh || err == nil {
-		t.Fatalf("completed flight was retained (shared=%v err=%v)", sh, err)
-	}
-	if runs.Load() != before+1 {
-		t.Fatalf("second flight did not run: runs = %d", runs.Load())
-	}
-}
-
 // TestJobMetricsAndTrace pins the jobs-layer observability: the
 // manager's histograms see every executed job, and each job carries a
 // trace whose queue_wait and run stages land in its snapshot — with

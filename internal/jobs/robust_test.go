@@ -191,46 +191,51 @@ func TestShutdownLeaksNothing(t *testing.T) {
 	shutdown(t, m)
 }
 
-func TestGroupPanicReleasesWaiters(t *testing.T) {
-	var g Group
+// TestCoalescedPanicReleasesWaiters: when a job that several
+// submissions coalesced onto panics, every waiter is released with
+// the descriptive failure — nobody blocks on a job that will never
+// finish — and the key is free, so the next submission runs fresh.
+func TestCoalescedPanicReleasesWaiters(t *testing.T) {
+	leakcheck.Check(t)
+	m := NewManager(Options{Workers: 1})
+	defer shutdown(t, m)
 	entered := make(chan struct{})
-	waited := make(chan error, 1)
-	go func() {
-		// The waiter joins the flight the panicking caller opened.
-		<-entered
-		_, err, shared := g.Do("k", func() (*core.Result, error) {
-			t.Error("waiter ran its own fn: flight was not joined")
-			return nil, nil
-		})
-		if !shared {
-			waited <- errors.New("waiter did not share the flight")
-			return
-		}
-		waited <- err
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("panic was swallowed by Group.Do")
-			}
-		}()
-		g.Do("k", func() (*core.Result, error) {
-			close(entered)
-			time.Sleep(20 * time.Millisecond) // let the waiter join
-			panic("boom in flight")
-		})
-	}()
-	select {
-	case err := <-waited:
-		if err == nil || !strings.Contains(err.Error(), "panic in single-flight") {
-			t.Fatalf("waiter error = %v, want a descriptive panic error", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("waiter still blocked: the flight was never released")
+	release := make(chan struct{})
+	j, err := m.Submit("k", func(ctx context.Context, progress core.ProgressFunc) (*core.Result, error) {
+		close(entered)
+		<-release
+		panic("boom in coalesced job")
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The key is free again.
-	if _, err, shared := g.Do("k", func() (*core.Result, error) { return &core.Result{}, nil }); err != nil || shared {
-		t.Fatalf("key not released after panic: err=%v shared=%v", err, shared)
+	<-entered
+	joined, err := m.Submit("k", func(ctx context.Context, progress core.ProgressFunc) (*core.Result, error) {
+		t.Error("coalesced submission ran its own RunFunc")
+		return nil, nil
+	})
+	if err != nil || joined != j {
+		t.Fatalf("second submission did not join the running job: %v", err)
+	}
+	close(release)
+	for _, w := range []*Job{j, joined} {
+		select {
+		case <-w.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatal("waiter still blocked: the panicking job never finished")
+		}
+		if snap := w.Snapshot(); snap.State != StateFailed || !strings.Contains(snap.Err.Error(), "boom in coalesced job") {
+			t.Fatalf("waiter saw %s (%v), want failed with the panic", snap.State, snap.Err)
+		}
+	}
+	var runs atomic.Int64
+	fresh, err := m.Submit("k", instantRun(&runs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-fresh.Done()
+	if fresh == j || runs.Load() != 1 {
+		t.Fatal("key still mapped to the failed job after the panic")
 	}
 }
 

@@ -145,6 +145,7 @@ func TestCutMatchesAcrossChunkLayouts(t *testing.T) {
 func TestPairMemoSharesSides(t *testing.T) {
 	tab := dataset.VOC(2000, 9)
 	ev := NewEvaluator(tab)
+	m := liveMetrics(ev)
 	ctx, err := sdl.ContextOn(tab, "type_of_boat", "tonnage", "departure_harbour")
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +164,7 @@ func TestPairMemoSharesSides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hitsAfterFirst := ev.Counters().CacheHits
+	hitsAfterFirst := m.CacheHits.Value()
 	// Product + CellCounts + Indep + ChiSquare over the same pair:
 	// all sides come from the memo, no further selection lookups.
 	if _, err := ProductOpt(ev, s1, s2, opt); err != nil {
@@ -179,7 +180,7 @@ func TestPairMemoSharesSides(t *testing.T) {
 	if _, err := ChiSquareIndependentOpt(ev, s1, s2, 0.05, opt); err != nil {
 		t.Fatal(err)
 	}
-	if got := ev.Counters().CacheHits; got != hitsAfterFirst {
+	if got := m.CacheHits.Value(); got != hitsAfterFirst {
 		t.Fatalf("memoized operator calls still hit the selection cache: %d -> %d", hitsAfterFirst, got)
 	}
 	if again != base {
@@ -190,7 +191,7 @@ func TestPairMemoSharesSides(t *testing.T) {
 	if _, err := IndepOpt(ev, s1, s2, plain); err != nil {
 		t.Fatal(err)
 	}
-	if got := ev.Counters().CacheHits; got == hitsAfterFirst {
+	if got := m.CacheHits.Value(); got == hitsAfterFirst {
 		t.Fatal("memo-less operator call did not consult the selection cache (test premise broken)")
 	}
 }

@@ -65,17 +65,17 @@ func CutQuery(ev *Evaluator, q sdl.Query, attr string, opt CutOptions) ([]sdl.Qu
 	if cs.Len() < 2 {
 		return []sdl.Query{q}, nil // nothing to split
 	}
-	// Sampled cut points draw a systematic sample from the flat view;
-	// exact ones run shard-at-a-time on the chunked selection and
-	// never materialize it. (Nominal cuts always see the full extent
-	// regardless: a sampled dictionary could miss rare values, and
-	// rows holding them would fall outside every piece, breaking
-	// Definition 3. Counting is a single O(n) pass, so there is
-	// nothing to save anyway — sampling targets the sort-based
-	// medians.)
-	var pointSel engine.Selection
+	// Sampled cut points run on a systematic sample drawn from the
+	// flat view and re-sharded by chunk; exact ones run on the chunked
+	// selection itself and never materialize the flat view. (Nominal
+	// cuts always see the full extent regardless: a sampled
+	// dictionary could miss rare values, and rows holding them would
+	// fall outside every piece, breaking Definition 3. Counting is a
+	// single O(n) pass, so there is nothing to save anyway — sampling
+	// targets the medians.)
+	var pointSel *engine.ChunkedSelection
 	if opt.SampleSize > 0 && cs.Len() > opt.SampleSize {
-		pointSel = stats.StridedInt32(cs.Flat(), opt.SampleSize)
+		pointSel = engine.ChunkSelection(stats.StridedInt32(cs.Flat(), opt.SampleSize), cs.NumRows(), cs.ChunkRows())
 	}
 	// All piece computation routes through the evaluator's cut-point
 	// cache: version-equal entries are served outright, stale exact
@@ -124,18 +124,15 @@ func childQuery(q sdl.Query, piece sdl.Constraint) (sdl.Query, bool, error) {
 	return q.WithConstraint(merged), true, nil
 }
 
-func intPieces(attr string, col engine.IntValued, cs *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions) ([]sdl.Constraint, error) {
+func intPieces(attr string, col engine.IntValued, cs, pointSel *engine.ChunkedSelection, opt CutOptions) ([]sdl.Constraint, error) {
 	min, max, _ := engine.IntMinMaxChunked(col, cs)
 	if min == max {
 		return nil, nil
 	}
-	var points []int64
-	if pointSel != nil {
-		points = engine.IntCutPoints(col, pointSel, opt.Arity)
-	} else {
-		points = engine.IntCutPointsChunked(col, cs, opt.Arity)
+	if pointSel == nil {
+		pointSel = cs
 	}
-	points = clampIntPoints(points, min, max)
+	points := clampIntPoints(engine.IntCutPointsChunked(col, pointSel, opt.Arity), min, max)
 	if len(points) == 0 {
 		return nil, nil
 	}
@@ -186,17 +183,15 @@ func clampIntPoints(points []int64, min, max int64) []int64 {
 	return out
 }
 
-func floatPieces(attr string, col engine.FloatValued, cs *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions) ([]sdl.Constraint, error) {
+func floatPieces(attr string, col engine.FloatValued, cs, pointSel *engine.ChunkedSelection, opt CutOptions) ([]sdl.Constraint, error) {
 	min, max, _ := engine.FloatMinMaxChunked(col, cs)
 	if min == max {
 		return nil, nil
 	}
-	var points []float64
-	if pointSel != nil {
-		points = engine.FloatCutPoints(col, pointSel, opt.Arity)
-	} else {
-		points = engine.FloatCutPointsChunked(col, cs, opt.Arity)
+	if pointSel == nil {
+		pointSel = cs
 	}
+	points := engine.FloatCutPointsChunked(col, pointSel, opt.Arity)
 	clamped := points[:0]
 	for _, p := range points {
 		if p > min && p <= max {

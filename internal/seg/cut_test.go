@@ -452,7 +452,7 @@ func TestDegenerateCutSkipsParentEval(t *testing.T) {
 	// With caching off every Select is a full evaluation, so the
 	// counter exposes exactly how many selections the cut fetched.
 	ev.SetCaching(false)
-	ev.ResetCounters()
+	m := liveMetrics(ev)
 	noop, err := Cut(ev, a, "c", DefaultCutOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -462,7 +462,7 @@ func TestDegenerateCutSkipsParentEval(t *testing.T) {
 	}
 	// CutQuery needs one Select per query to find the (degenerate)
 	// cut points; the unused parent selection must not add a second.
-	if got := ev.Counters().FullEvals; got != a.Depth() {
+	if got := int(m.FullEvals.Value()); got != a.Depth() {
 		t.Fatalf("degenerate cut cost %d full evals, want %d (one per query)", got, a.Depth())
 	}
 }
@@ -483,7 +483,7 @@ func TestMixedCutSkipsParentEvalForDegeneratePieces(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev.SetCaching(false)
-	ev.ResetCounters()
+	m := liveMetrics(ev)
 	cut, err := Cut(ev, a, "c", DefaultCutOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -493,7 +493,7 @@ func TestMixedCutSkipsParentEvalForDegeneratePieces(t *testing.T) {
 	}
 	// Two CutQuery selects + one parent re-select for the split
 	// query only. (Narrow evaluations are counted separately.)
-	if got := ev.Counters().FullEvals; got != 3 {
+	if got := m.FullEvals.Value(); got != 3 {
 		t.Fatalf("mixed cut cost %d full evals, want 3", got)
 	}
 }

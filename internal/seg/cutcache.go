@@ -91,7 +91,7 @@ func (e *Evaluator) storeCut(key string, ent cachedCut) {
 // construction. pointSel, when non-nil, is the systematic sample the
 // points are estimated from (Section 5.2); sampled points are cached
 // but never refreshed incrementally.
-func (e *Evaluator) cutPieces(q sdl.Query, attr string, col engine.Column, cs *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions) ([]sdl.Constraint, error) {
+func (e *Evaluator) cutPieces(q sdl.Query, attr string, col engine.Column, cs, pointSel *engine.ChunkedSelection, opt CutOptions) ([]sdl.Constraint, error) {
 	if !e.caching.Load() {
 		pieces, _, err := e.computeCut(attr, col, cs, pointSel, opt, false)
 		if err == nil && len(pieces) >= 2 {
@@ -135,7 +135,7 @@ type cutState struct {
 // pinned byte-identical to the scratch-based forms. Everything else —
 // sampled points, floats, bools, the degenerate fallback — takes
 // exactly the code path the uncached evaluator takes.
-func (e *Evaluator) computeCut(attr string, col engine.Column, cs *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions, retain bool) ([]sdl.Constraint, cutState, error) {
+func (e *Evaluator) computeCut(attr string, col engine.Column, cs, pointSel *engine.ChunkedSelection, opt CutOptions, retain bool) ([]sdl.Constraint, cutState, error) {
 	var state cutState
 	var pieces []sdl.Constraint
 	var err error
@@ -178,7 +178,7 @@ func (e *Evaluator) computeCut(attr string, col engine.Column, cs *engine.Chunke
 // pure function of that chunk's unchanged rows. Entries with no
 // retained state, structural mismatches, and sampled points all
 // return false and recompute in full.
-func (e *Evaluator) refreshCut(key string, ent cachedCut, attr string, col engine.Column, cs *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions, cur *engine.EpochStamp) ([]sdl.Constraint, bool) {
+func (e *Evaluator) refreshCut(key string, ent cachedCut, attr string, col engine.Column, cs, pointSel *engine.ChunkedSelection, opt CutOptions, cur *engine.EpochStamp) ([]sdl.Constraint, bool) {
 	if pointSel != nil {
 		return nil, false
 	}

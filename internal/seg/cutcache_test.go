@@ -48,9 +48,10 @@ func childKeys(t *testing.T, ev *Evaluator, q sdl.Query, attr string) []string {
 func TestCutCacheVersionEqualHit(t *testing.T) {
 	tab := cutCacheTable(t)
 	ev := NewEvaluator(tab)
+	m := liveMetrics(ev)
 	ctx := sdl.ContextAll(tab)
 	first := childKeys(t, ev, ctx, "v")
-	calcs := ev.Counters().CutPointCalcs
+	calcs := m.CutPointCalcs.Value()
 	if calcs == 0 {
 		t.Fatal("priming cut computed no points")
 	}
@@ -58,12 +59,11 @@ func TestCutCacheVersionEqualHit(t *testing.T) {
 	if fmt.Sprint(first) != fmt.Sprint(second) {
 		t.Fatalf("cached cut diverged: %v vs %v", first, second)
 	}
-	after := ev.Counters()
-	if after.CutPointCalcs != calcs {
-		t.Fatalf("version-equal hit recomputed points: %d -> %d", calcs, after.CutPointCalcs)
+	if got := m.CutPointCalcs.Value(); got != calcs {
+		t.Fatalf("version-equal hit recomputed points: %d -> %d", calcs, got)
 	}
-	if after.CutRefreshes != 0 {
-		t.Fatalf("unmutated table took %d cut refreshes", after.CutRefreshes)
+	if got := m.CutRefreshes.Value(); got != 0 {
+		t.Fatalf("unmutated table took %d cut refreshes", got)
 	}
 }
 
@@ -74,6 +74,7 @@ func TestCutCacheVersionEqualHit(t *testing.T) {
 func TestCutCacheRefreshAfterMutation(t *testing.T) {
 	tab := cutCacheTable(t)
 	ev := NewEvaluator(tab)
+	m := liveMetrics(ev)
 	ctx := sdl.ContextAll(tab)
 	childKeys(t, ev, ctx, "v")
 	childKeys(t, ev, ctx, "s")
@@ -96,6 +97,7 @@ func TestCutCacheRefreshAfterMutation(t *testing.T) {
 	}
 
 	cold := NewEvaluator(tab)
+	coldM := liveMetrics(cold)
 	for _, attr := range []string{"v", "s"} {
 		warmKeys := childKeys(t, ev, ctx, attr)
 		coldKeys := childKeys(t, cold, ctx, attr)
@@ -103,10 +105,10 @@ func TestCutCacheRefreshAfterMutation(t *testing.T) {
 			t.Fatalf("%s: warm refresh diverged from cold cut:\nwarm %v\ncold %v", attr, warmKeys, coldKeys)
 		}
 	}
-	if got := ev.Counters().CutRefreshes; got < 2 {
+	if got := m.CutRefreshes.Value(); got < 2 {
 		t.Fatalf("CutRefreshes = %d, want ≥2 (int and string cuts)", got)
 	}
-	if got := cold.Counters().CutRefreshes; got != 0 {
+	if got := coldM.CutRefreshes.Value(); got != 0 {
 		t.Fatalf("cold evaluator took %d cut refreshes", got)
 	}
 }
@@ -117,6 +119,7 @@ func TestCutCacheRefreshAfterMutation(t *testing.T) {
 func TestCutCacheWidthChangeRecomputes(t *testing.T) {
 	tab := cutCacheTable(t)
 	ev := NewEvaluator(tab)
+	m := liveMetrics(ev)
 	ctx := sdl.ContextAll(tab)
 	childKeys(t, ev, ctx, "v")
 	if err := tab.AppendRows([]engine.Value{engine.Int(999999), engine.String_("kof")}); err != nil {
@@ -128,7 +131,7 @@ func TestCutCacheWidthChangeRecomputes(t *testing.T) {
 	if fmt.Sprint(warmKeys) != fmt.Sprint(coldKeys) {
 		t.Fatalf("post-reshard cut diverged:\nwarm %v\ncold %v", warmKeys, coldKeys)
 	}
-	if got := ev.Counters().CutRefreshes; got != 0 {
+	if got := m.CutRefreshes.Value(); got != 0 {
 		t.Fatalf("chunk-incomparable stamps took the refresh path (%d)", got)
 	}
 }

@@ -17,53 +17,39 @@ import (
 	"charles/internal/sdl"
 )
 
-// Counters instruments the evaluator for the scalability experiments
-// (E6/E7): how often work was reused versus recomputed.
-type Counters struct {
+// EvalMetrics is the evaluator's instrumentation: nil-safe obs
+// counters of how often work was reused versus recomputed, the one
+// source /metrics and the tests both read. Cache misses are the
+// evaluations themselves — FullEvals and NarrowEvals count exactly
+// the lookups that missed. The default hook (all-nil fields) records
+// nothing and costs one atomic load.
+type EvalMetrics struct {
 	// FullEvals counts constraint-by-constraint query evaluations.
-	FullEvals int
+	FullEvals *obs.Counter
 	// NarrowEvals counts incremental child evaluations (filtering a
 	// parent's selection by one new constraint), the cheap path cuts
 	// take.
-	NarrowEvals int
+	NarrowEvals *obs.Counter
 	// CacheHits counts selections served from the query cache.
-	CacheHits int
+	CacheHits *obs.Counter
 	// CutPointCalcs counts median/quantile computations, the
 	// operation Section 5.1 calls the vertical-scalability
 	// bottleneck.
-	CutPointCalcs int
+	CutPointCalcs *obs.Counter
 	// DeltaRefreshes counts cached selections brought up to date by
 	// re-evaluating only the mutation-dirtied chunks and splicing
 	// them into the cached clean segments — the incremental-advise
 	// path, neither a full eval nor a plain hit.
-	DeltaRefreshes int
+	DeltaRefreshes *obs.Counter
 	// CutRefreshes counts cached cut points brought up to date the
 	// same way: dirty chunks re-gathered and re-sorted (or
 	// recounted), clean chunks' sorted runs and count vectors reused.
-	CutRefreshes int
+	CutRefreshes *obs.Counter
 	// CutCacheHits counts cut-point sets served straight from the cut
 	// cache without recomputation.
-	CutCacheHits int
+	CutCacheHits *obs.Counter
 	// PairMemoHits / PairMemoMisses count pairwise-operand sides
 	// served from (or built into) a PairMemo.
-	PairMemoHits   int
-	PairMemoMisses int
-}
-
-// EvalMetrics is the evaluator's external instrumentation hook:
-// nil-safe obs counters mirroring the Counters fields, bumped at the
-// same sites, so a server can expose live totals without polling.
-// Cache misses are the evaluations themselves — FullEvals and
-// NarrowEvals count exactly the lookups that missed. The default
-// hook (all-nil fields) records nothing and costs one atomic load.
-type EvalMetrics struct {
-	FullEvals      *obs.Counter
-	NarrowEvals    *obs.Counter
-	CacheHits      *obs.Counter
-	CutPointCalcs  *obs.Counter
-	DeltaRefreshes *obs.Counter
-	CutRefreshes   *obs.Counter
-	CutCacheHits   *obs.Counter
 	PairMemoHits   *obs.Counter
 	PairMemoMisses *obs.Counter
 }
@@ -119,7 +105,7 @@ var cacheSeed = maphash.MakeSeed()
 // across the scan worker pool, zone maps skip chunks a range cannot
 // match, and narrow (parent→child) evaluations touch only the chunks
 // where the parent selection has rows. The cache is sharded behind
-// fine-grained reader/writer locks and the counters are atomic, so
+// fine-grained reader/writer locks and the metrics are atomic, so
 // one Evaluator safely serves many goroutines — the foundation of
 // the parallel advisor core and the multi-session server.
 type Evaluator struct {
@@ -146,16 +132,6 @@ type Evaluator struct {
 	// Long-lived shared evaluators — the multi-session server — set
 	// it so user-supplied contexts cannot grow memory without bound.
 	limit atomic.Int64
-
-	fullEvals      atomic.Int64
-	narrowEvals    atomic.Int64
-	cacheHits      atomic.Int64
-	cutPointCalcs  atomic.Int64
-	deltaRefreshes atomic.Int64
-	cutRefreshes   atomic.Int64
-	cutCacheHits   atomic.Int64
-	pairMemoHits   atomic.Int64
-	pairMemoMisses atomic.Int64
 
 	// em is the installed EvalMetrics hook; always non-nil (zero
 	// value = no-op), swapped atomically by SetEvalMetrics.
@@ -187,18 +163,17 @@ func (e *Evaluator) SetEvalMetrics(m *EvalMetrics) {
 	e.em.Store(m)
 }
 
-// The count* helpers bump an internal counter and its hook mirror
-// together, so Counters() snapshots and live obs totals cannot
-// drift. All are alloc-free: two atomic adds and a pointer load.
-func (e *Evaluator) countFullEval()     { e.fullEvals.Add(1); e.em.Load().FullEvals.Inc() }
-func (e *Evaluator) countNarrowEval()   { e.narrowEvals.Add(1); e.em.Load().NarrowEvals.Inc() }
-func (e *Evaluator) countCacheHit()     { e.cacheHits.Add(1); e.em.Load().CacheHits.Inc() }
-func (e *Evaluator) countCutPointCalc() { e.cutPointCalcs.Add(1); e.em.Load().CutPointCalcs.Inc() }
-func (e *Evaluator) countDeltaRefresh() { e.deltaRefreshes.Add(1); e.em.Load().DeltaRefreshes.Inc() }
-func (e *Evaluator) countCutRefresh()   { e.cutRefreshes.Add(1); e.em.Load().CutRefreshes.Inc() }
-func (e *Evaluator) countCutCacheHit()  { e.cutCacheHits.Add(1); e.em.Load().CutCacheHits.Inc() }
-func (e *Evaluator) countPairMemoHit()  { e.pairMemoHits.Add(1); e.em.Load().PairMemoHits.Inc() }
-func (e *Evaluator) countPairMemoMiss() { e.pairMemoMisses.Add(1); e.em.Load().PairMemoMisses.Inc() }
+// The count* helpers bump the installed hook's counters. All are
+// alloc-free: a pointer load and an atomic add.
+func (e *Evaluator) countFullEval()     { e.em.Load().FullEvals.Inc() }
+func (e *Evaluator) countNarrowEval()   { e.em.Load().NarrowEvals.Inc() }
+func (e *Evaluator) countCacheHit()     { e.em.Load().CacheHits.Inc() }
+func (e *Evaluator) countCutPointCalc() { e.em.Load().CutPointCalcs.Inc() }
+func (e *Evaluator) countDeltaRefresh() { e.em.Load().DeltaRefreshes.Inc() }
+func (e *Evaluator) countCutRefresh()   { e.em.Load().CutRefreshes.Inc() }
+func (e *Evaluator) countCutCacheHit()  { e.em.Load().CutCacheHits.Inc() }
+func (e *Evaluator) countPairMemoHit()  { e.em.Load().PairMemoHits.Inc() }
+func (e *Evaluator) countPairMemoMiss() { e.em.Load().PairMemoMisses.Inc() }
 
 // SetZonePruning toggles zone-map chunk pruning (numeric min/max and
 // nominal presence verdicts). Pruning never changes results — only
@@ -234,7 +209,7 @@ func (e *Evaluator) SetCacheLimit(n int) {
 // SetCaching toggles the selection cache (the E6 ablation). Turning
 // caching off also drops the current cache. The toggle applies to
 // evaluations that start afterwards; flip it while the evaluator is
-// quiescent when exact ablation counters matter.
+// quiescent when exact ablation metrics matter.
 func (e *Evaluator) SetCaching(on bool) {
 	e.caching.Store(on)
 	if !on {
@@ -254,34 +229,6 @@ func (e *Evaluator) SetCaching(on bool) {
 		e.cuts = make(map[string]cachedCut)
 		e.cutMu.Unlock()
 	}
-}
-
-// Counters returns a snapshot of the instrumentation counters.
-func (e *Evaluator) Counters() Counters {
-	return Counters{
-		FullEvals:      int(e.fullEvals.Load()),
-		NarrowEvals:    int(e.narrowEvals.Load()),
-		CacheHits:      int(e.cacheHits.Load()),
-		CutPointCalcs:  int(e.cutPointCalcs.Load()),
-		DeltaRefreshes: int(e.deltaRefreshes.Load()),
-		CutRefreshes:   int(e.cutRefreshes.Load()),
-		CutCacheHits:   int(e.cutCacheHits.Load()),
-		PairMemoHits:   int(e.pairMemoHits.Load()),
-		PairMemoMisses: int(e.pairMemoMisses.Load()),
-	}
-}
-
-// ResetCounters zeroes the instrumentation counters.
-func (e *Evaluator) ResetCounters() {
-	e.fullEvals.Store(0)
-	e.narrowEvals.Store(0)
-	e.cacheHits.Store(0)
-	e.cutPointCalcs.Store(0)
-	e.deltaRefreshes.Store(0)
-	e.cutRefreshes.Store(0)
-	e.cutCacheHits.Store(0)
-	e.pairMemoHits.Store(0)
-	e.pairMemoMisses.Store(0)
 }
 
 // CacheLen returns the number of cached selections.

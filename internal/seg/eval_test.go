@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"charles/internal/engine"
+	"charles/internal/obs"
 	"charles/internal/sdl"
 )
 
@@ -29,25 +30,26 @@ func TestSelectConjunction(t *testing.T) {
 
 func TestSelectCaches(t *testing.T) {
 	_, ev := figure2Table(t)
+	m := liveMetrics(ev)
 	q := sdl.MustQuery(sdl.SetC("type", engine.String_("jacht")))
 	if _, err := ev.Select(q); err != nil {
 		t.Fatal(err)
 	}
-	before := ev.Counters()
+	hits, evals := m.CacheHits.Value(), m.FullEvals.Value()
 	if _, err := ev.Select(q); err != nil {
 		t.Fatal(err)
 	}
-	after := ev.Counters()
-	if after.CacheHits != before.CacheHits+1 {
-		t.Fatalf("second select did not hit cache: %+v -> %+v", before, after)
+	if m.CacheHits.Value() != hits+1 {
+		t.Fatalf("second select did not hit cache: hits %d -> %d", hits, m.CacheHits.Value())
 	}
-	if after.FullEvals != before.FullEvals {
+	if m.FullEvals.Value() != evals {
 		t.Fatal("second select re-evaluated")
 	}
 }
 
 func TestSetCachingOff(t *testing.T) {
 	_, ev := figure2Table(t)
+	m := liveMetrics(ev)
 	ev.SetCaching(false)
 	q := sdl.MustQuery(sdl.SetC("type", engine.String_("jacht")))
 	if _, err := ev.Select(q); err != nil {
@@ -56,9 +58,8 @@ func TestSetCachingOff(t *testing.T) {
 	if _, err := ev.Select(q); err != nil {
 		t.Fatal(err)
 	}
-	c := ev.Counters()
-	if c.CacheHits != 0 || c.FullEvals != 2 {
-		t.Fatalf("caching off but counters = %+v", c)
+	if m.CacheHits.Value() != 0 || m.FullEvals.Value() != 2 {
+		t.Fatalf("caching off but hits=%d full evals=%d", m.CacheHits.Value(), m.FullEvals.Value())
 	}
 	if ev.CacheLen() != 0 {
 		t.Fatal("cache populated while off")
@@ -148,18 +149,39 @@ func TestSelectIntSetAndFloatSet(t *testing.T) {
 	}
 }
 
+// liveMetrics installs an EvalMetrics with live counters on ev and
+// returns it, so a test reads the evaluator's activity off the same
+// counters /metrics exports. Installing a fresh one starts the counts
+// from zero.
+func liveMetrics(ev *Evaluator) *EvalMetrics {
+	m := &EvalMetrics{
+		FullEvals: &obs.Counter{}, NarrowEvals: &obs.Counter{}, CacheHits: &obs.Counter{},
+		CutPointCalcs: &obs.Counter{}, DeltaRefreshes: &obs.Counter{}, CutRefreshes: &obs.Counter{},
+		CutCacheHits: &obs.Counter{}, PairMemoHits: &obs.Counter{}, PairMemoMisses: &obs.Counter{},
+	}
+	ev.SetEvalMetrics(m)
+	return m
+}
+
 func TestCountersAndReset(t *testing.T) {
 	_, ev := figure2Table(t)
+	m := liveMetrics(ev)
 	q := sdl.MustQuery(sdl.SetC("type", engine.String_("fluit")))
 	if _, err := ev.Count(q); err != nil {
 		t.Fatal(err)
 	}
-	if ev.Counters().FullEvals != 1 {
-		t.Fatalf("counters = %+v", ev.Counters())
+	if got := m.FullEvals.Value(); got != 1 {
+		t.Fatalf("full evals = %d, want 1", got)
 	}
-	ev.ResetCounters()
-	if ev.Counters().FullEvals != 0 {
-		t.Fatal("ResetCounters did not reset")
+	fresh := liveMetrics(ev)
+	if _, err := ev.Count(q); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.FullEvals.Value() != 0 || fresh.CacheHits.Value() != 1 {
+		t.Fatalf("fresh metrics: full evals %d, hits %d; want 0, 1", fresh.FullEvals.Value(), fresh.CacheHits.Value())
+	}
+	if m.CacheHits.Value() != 0 {
+		t.Fatal("replaced metrics kept counting")
 	}
 }
 

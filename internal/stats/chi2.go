@@ -65,15 +65,6 @@ func ChiSquarePValue(stat float64, dof int) float64 {
 	return upperRegularizedGamma(float64(dof)/2, stat/2)
 }
 
-// ChiSquareIndependent reports whether the joint counts are
-// consistent with independence at significance level alpha: true
-// when the p-value is at least alpha (we fail to reject
-// independence).
-func ChiSquareIndependent(cells [][]int, alpha float64) bool {
-	stat, dof := ChiSquare(cells)
-	return ChiSquarePValue(stat, dof) >= alpha
-}
-
 // ChiSquareFlat is ChiSquare over a row-major flat nRows×nCols count
 // vector — the layout the pairwise cell loop fills — so callers that
 // own a flat buffer never materialize the [][]int view. It mirrors
@@ -131,8 +122,11 @@ func ChiSquareFlat(flat []int, nRows, nCols int, rowSum, colSum []float64) (stat
 	return stat, (liveRows - 1) * (liveCols - 1)
 }
 
-// ChiSquareIndependentFlat is ChiSquareIndependent over the flat
-// layout, with caller-pooled marginal scratch.
+// ChiSquareIndependentFlat reports whether the flat joint counts are
+// consistent with independence at significance level alpha: true
+// when the p-value is at least alpha (we fail to reject
+// independence). rowSum and colSum are caller-pooled marginal
+// scratch, as for ChiSquareFlat.
 func ChiSquareIndependentFlat(flat []int, nRows, nCols int, rowSum, colSum []float64, alpha float64) bool {
 	stat, dof := ChiSquareFlat(flat, nRows, nCols, rowSum, colSum)
 	return ChiSquarePValue(stat, dof) >= alpha

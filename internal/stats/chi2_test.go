@@ -75,12 +75,13 @@ func TestChiSquarePValueKnownValues(t *testing.T) {
 }
 
 func TestChiSquareIndependentHelper(t *testing.T) {
-	indep := [][]int{{25, 25}, {25, 25}}
-	if !ChiSquareIndependent(indep, 0.05) {
+	indep := func(flat []int) bool {
+		return ChiSquareIndependentFlat(flat, 2, 2, make([]float64, 2), make([]float64, 2), 0.05)
+	}
+	if !indep([]int{25, 25, 25, 25}) {
 		t.Fatal("balanced independent table rejected")
 	}
-	dep := [][]int{{100, 0}, {0, 100}}
-	if ChiSquareIndependent(dep, 0.05) {
+	if indep([]int{100, 0, 0, 100}) {
 		t.Fatal("diagonal table accepted as independent")
 	}
 }

@@ -26,19 +26,6 @@ func chunkInt64(vals []int64, rng *rand.Rand) [][]int64 {
 	return chunks
 }
 
-func chunkFloat64(vals []float64, rng *rand.Rand) [][]float64 {
-	var chunks [][]float64
-	for i := 0; i < len(vals); {
-		w := rng.Intn(len(vals)-i) + 1
-		chunks = append(chunks, append([]float64(nil), vals[i:i+w]...))
-		i += w
-	}
-	if len(chunks) == 0 {
-		chunks = [][]float64{{}}
-	}
-	return chunks
-}
-
 // int64Cases covers the value shapes the rank search bisects badly
 // if the midpoint math is wrong: negatives, extremes, and heavy
 // duplicates.
@@ -77,74 +64,38 @@ func TestKthSortedInt64ChunksMatchesSort(t *testing.T) {
 	}
 }
 
-func TestKthSortedFloat64ChunksMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	cases := [][]float64{
-		{0},
-		{-1.5, 2.5},
-		{math.Inf(-1), math.Inf(1), 0, -0.25, 1e300, -1e300, 1e-300},
-		{3.25, 3.25, 3.25},
-	}
-	mixed := make([]float64, 257)
-	for i := range mixed {
-		mixed[i] = (rng.Float64() - 0.5) * 1e6
-	}
-	cases = append(cases, mixed)
-	for _, vals := range cases {
-		sorted := append([]float64(nil), vals...)
-		sort.Float64s(sorted)
-		chunks := chunkFloat64(vals, rng)
-		SortFloat64Chunks(chunks, 2)
-		for k := 0; k < len(vals); k++ {
-			if got := KthSortedFloat64Chunks(chunks, k); got != sorted[k] {
-				t.Fatalf("kth(%d) = %v, want %v (vals %v)", k, got, sorted[k], vals)
-			}
-		}
-	}
-}
-
+// TestMedianChunksMatchesFlat pins the two rank selections to each
+// other at the median rank: sorted runs searched by value agree with
+// quickselect over the flattened values.
 func TestMedianChunksMatchesFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, vals := range int64Cases(rng) {
 		want := MedianInt64(append([]int64(nil), vals...))
-		if got := MedianInt64Chunks(chunkInt64(vals, rng), 3); got != want {
-			t.Fatalf("MedianInt64Chunks = %d, want %d", got, want)
+		chunks := chunkInt64(vals, rng)
+		SortInt64Chunks(chunks, 3)
+		if got := KthSortedInt64Chunks(chunks, len(vals)/2); got != want {
+			t.Fatalf("median of sorted runs = %d, want %d", got, want)
 		}
-	}
-	fvals := make([]float64, 101)
-	for i := range fvals {
-		fvals[i] = float64(rng.Intn(50)) / 2
-	}
-	want := MedianFloat64(append([]float64(nil), fvals...))
-	if got := MedianFloat64Chunks(chunkFloat64(fvals, rng), 3); got != want {
-		t.Fatalf("MedianFloat64Chunks = %v, want %v", got, want)
 	}
 }
 
+// TestEquiDepthPointsChunksMatchesFlat: equi-depth points read off
+// sorted runs equal the quickselect points of the flattened values,
+// for every sharding.
 func TestEquiDepthPointsChunksMatchesFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for _, vals := range int64Cases(rng) {
 		for _, arity := range []int{2, 3, 4, 8, 13} {
 			want := EquiDepthPoints(append([]int64(nil), vals...), arity)
-			got := EquiDepthPointsChunks(chunkInt64(vals, rng), arity, 2)
+			chunks := chunkInt64(vals, rng)
+			SortInt64Chunks(chunks, 2)
+			got := EquiDepthPointsSorted(chunks, arity)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("EquiDepthPointsChunks(arity=%d) = %v, want %v (vals %v)", arity, got, want, vals)
+				t.Fatalf("EquiDepthPointsSorted(arity=%d) = %v, want %v (vals %v)", arity, got, want, vals)
 			}
 		}
 	}
-	fvals := make([]float64, 173)
-	for i := range fvals {
-		fvals[i] = float64(rng.Intn(40)) / 4
-	}
-	for _, arity := range []int{2, 5} {
-		want := EquiDepthPointsFloat64(append([]float64(nil), fvals...), arity)
-		got := EquiDepthPointsChunksFloat64(chunkFloat64(fvals, rng), arity, 2)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("EquiDepthPointsChunksFloat64(arity=%d) = %v, want %v", arity, got, want)
-		}
-	}
 }
-
 func TestKthChunksPanicsOutOfRange(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -152,23 +103,4 @@ func TestKthChunksPanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	KthSortedInt64Chunks([][]int64{{1, 2}}, 2)
-}
-
-// TestKthFloatChunksCanonicalZero pins the -0.0 collapse: a selected
-// zero always comes back as +0.0 — the rank search cannot tell the
-// two apart by counting, and "-0" must never leak into canonical
-// renderings — regardless of which zero's bit pattern the data held.
-func TestKthFloatChunksCanonicalZero(t *testing.T) {
-	negZero := math.Copysign(0, -1)
-	for _, chunks := range [][][]float64{
-		{{-1, 0}, {5}},
-		{{-1, negZero}, {5}},
-		{{negZero}, {-1}, {0, 5}},
-	} {
-		SortFloat64Chunks(chunks, 1)
-		got := KthSortedFloat64Chunks(chunks, 1) // rank 1 of {-1, ±0, 5}-shaped data
-		if got != 0 || math.Signbit(got) {
-			t.Fatalf("kth(1) = %v (signbit %v), want canonical +0", got, math.Signbit(got))
-		}
-	}
 }

@@ -1,7 +1,5 @@
 package stats
 
-import "sort"
-
 // ordered covers the element types Charles selects over.
 type ordered interface {
 	~int64 | ~float64
@@ -71,19 +69,6 @@ func pivotValue[T ordered](v []T, lo, hi int) T {
 	}
 }
 
-// QuickSelectInt64 returns the k-th smallest element (0-based) of
-// vals, reordering vals in place. It panics if k is out of range;
-// callers own the bounds check.
-func QuickSelectInt64(vals []int64, k int) int64 {
-	return quickSelect(vals, k)
-}
-
-// QuickSelectFloat64 returns the k-th smallest element (0-based) of
-// vals, reordering vals in place. NaN values must not be present.
-func QuickSelectFloat64(vals []float64, k int) float64 {
-	return quickSelect(vals, k)
-}
-
 // MedianInt64 returns the upper median vals[n/2] (the cut point used
 // by Definition 5: the left piece takes values strictly below it).
 // vals is reordered in place. It panics on empty input.
@@ -97,27 +82,8 @@ func MedianFloat64(vals []float64) float64 {
 	return quickSelect(vals, len(vals)/2)
 }
 
-// QuantilesInt64 returns the values at the given quantile fractions
-// (each in (0,1)), computed as the element at index floor(q*n)
-// clamped to [0, n-1]. vals is reordered in place. The result
-// preserves the order of qs.
-func QuantilesInt64(vals []int64, qs []float64) []int64 {
-	out := make([]int64, len(qs))
-	for i, q := range qs {
-		out[i] = quickSelect(vals, quantileIndex(len(vals), q))
-	}
-	return out
-}
-
-// QuantilesFloat64 is QuantilesInt64 for float64 data.
-func QuantilesFloat64(vals []float64, qs []float64) []float64 {
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = quickSelect(vals, quantileIndex(len(vals), q))
-	}
-	return out
-}
-
+// quantileIndex is the rank of the q-quantile of n values:
+// floor(q*n) clamped to [0, n-1].
 func quantileIndex(n int, q float64) int {
 	if n == 0 {
 		panic("stats: quantile of empty input")
@@ -134,40 +100,42 @@ func quantileIndex(n int, q float64) int {
 
 // EquiDepthPoints returns arity−1 split points dividing vals into
 // arity pieces of (approximately) equal depth, i.e. the quantiles at
-// i/arity for i in 1..arity−1. The points are strictly increasing:
-// duplicate quantile values (heavy duplicates in the data) are
-// collapsed, so fewer than arity−1 points may be returned. vals is
+// i/arity for i in 1..arity−1, each one quickselect. The points are
+// strictly increasing: duplicate quantile values (heavy duplicates in
+// the data) are collapsed, and a point equal to the minimum is
+// dropped, so fewer than arity−1 points may be returned. vals is
 // reordered in place.
 func EquiDepthPoints(vals []int64, arity int) []int64 {
-	if arity < 2 || len(vals) == 0 {
-		return nil
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	points := make([]int64, 0, arity-1)
-	for i := 1; i < arity; i++ {
-		p := vals[quantileIndex(len(vals), float64(i)/float64(arity))]
-		if len(points) == 0 || p > points[len(points)-1] {
-			if p > vals[0] { // a point equal to the minimum splits off nothing
-				points = append(points, p)
-			}
-		}
-	}
-	return points
+	return equiDepthPoints(vals, arity)
 }
 
-// EquiDepthPointsFloat64 is EquiDepthPoints for float64 data.
+// EquiDepthPointsFloat64 is EquiDepthPoints for float64 data. NaN
+// values must not be present.
 func EquiDepthPointsFloat64(vals []float64, arity int) []float64 {
+	return equiDepthPoints(vals, arity)
+}
+
+func equiDepthPoints[T ordered](vals []T, arity int) []T {
 	if arity < 2 || len(vals) == 0 {
 		return nil
 	}
-	sort.Float64s(vals)
-	points := make([]float64, 0, arity-1)
+	min := vals[0]
+	for _, v := range vals[1:] {
+		if v < min {
+			min = v
+		}
+	}
+	// The ranks are non-decreasing and a selection leaves everything
+	// right of rank k at or above it, so each search starts at the
+	// previous rank.
+	points := make([]T, 0, arity-1)
+	lo := 0
 	for i := 1; i < arity; i++ {
-		p := vals[quantileIndex(len(vals), float64(i)/float64(arity))]
-		if len(points) == 0 || p > points[len(points)-1] {
-			if p > vals[0] {
-				points = append(points, p)
-			}
+		k := quantileIndex(len(vals), float64(i)/float64(arity))
+		p := quickSelect(vals[lo:], k-lo)
+		lo = k
+		if p > min && (len(points) == 0 || p > points[len(points)-1]) {
+			points = append(points, p)
 		}
 	}
 	return points

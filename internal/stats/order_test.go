@@ -19,7 +19,7 @@ func TestQuickSelectInt64MatchesSort(t *testing.T) {
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 		k := rng.Intn(n)
 		work := append([]int64(nil), vals...)
-		if got, want := QuickSelectInt64(work, k), sorted[k]; got != want {
+		if got, want := quickSelect(work, k), sorted[k]; got != want {
 			t.Fatalf("trial %d: QuickSelect(k=%d) = %d, want %d", trial, k, got, want)
 		}
 	}
@@ -37,7 +37,7 @@ func TestQuickSelectFloat64MatchesSort(t *testing.T) {
 		sort.Float64s(sorted)
 		k := rng.Intn(n)
 		work := append([]float64(nil), vals...)
-		if got, want := QuickSelectFloat64(work, k), sorted[k]; got != want {
+		if got, want := quickSelect(work, k), sorted[k]; got != want {
 			t.Fatalf("trial %d: QuickSelect(k=%d) = %v, want %v", trial, k, got, want)
 		}
 	}
@@ -49,7 +49,7 @@ func TestQuickSelectPanicsOutOfRange(t *testing.T) {
 			t.Fatal("expected panic for out-of-range k")
 		}
 	}()
-	QuickSelectInt64([]int64{1, 2, 3}, 3)
+	quickSelect([]int64{1, 2, 3}, 3)
 }
 
 func TestMedianInt64UpperMedian(t *testing.T) {
@@ -93,11 +93,9 @@ func TestQuantilesInt64(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	got := QuantilesInt64(append([]int64(nil), vals...), []float64{0.25, 0.5, 0.75})
-	want := []int64{25, 50, 75}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("quantiles = %v, want %v", got, want)
+	for i, q := range []float64{0.25, 0.5, 0.75} {
+		if got, want := quickSelect(vals, quantileIndex(len(vals), q)), int64(25*(i+1)); got != want {
+			t.Fatalf("quantile %v = %d, want %d", q, got, want)
 		}
 	}
 }
@@ -140,5 +138,42 @@ func TestEquiDepthPointsFloat(t *testing.T) {
 	points := EquiDepthPointsFloat64(vals, 2)
 	if len(points) != 1 || points[0] != 30 {
 		t.Fatalf("median point = %v, want [30]", points)
+	}
+}
+
+// TestEquiDepthPointsMatchesSortOracle pins the quickselect-based
+// equi-depth points to the definition read off a sorted copy:
+// quantile ranks, duplicates collapsed, the minimum dropped.
+func TestEquiDepthPointsMatchesSortOracle(t *testing.T) {
+	oracle := func(vals []int64, arity int) []int64 {
+		sorted := append([]int64(nil), vals...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		var out []int64
+		for i := 1; i < arity; i++ {
+			p := sorted[quantileIndex(len(sorted), float64(i)/float64(arity))]
+			if p > sorted[0] && (len(out) == 0 || p > out[len(out)-1]) {
+				out = append(out, p)
+			}
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 200; trial++ {
+		vals := make([]int64, 1+rng.Intn(300))
+		spread := 1 + rng.Intn(20) // few distinct values: heavy duplicates
+		for i := range vals {
+			vals[i] = int64(rng.Intn(spread)) - 5
+		}
+		arity := 2 + rng.Intn(7)
+		got := EquiDepthPoints(append([]int64(nil), vals...), arity)
+		want := oracle(vals, arity)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d arity %d: points %v, want %v", trial, arity, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d arity %d: points %v, want %v", trial, arity, got, want)
+			}
+		}
 	}
 }

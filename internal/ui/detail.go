@@ -84,13 +84,13 @@ func HistogramBuckets(col engine.Column, sel engine.Selection, buckets int) (cou
 // sparkline histograms for numeric columns, top-value shares for
 // nominal ones.
 func RenderSegmentDetail(ev *seg.Evaluator, q sdl.Query, attrs []string) (string, error) {
-	sel, err := ev.Select(q)
+	cs, err := ev.SelectChunked(q)
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "segment %s — %d rows\n", q, len(sel))
-	if len(sel) == 0 {
+	fmt.Fprintf(&b, "segment %s — %d rows\n", q, cs.Len())
+	if cs.Len() == 0 {
 		return b.String(), nil
 	}
 	for _, attr := range attrs {
@@ -100,10 +100,11 @@ func RenderSegmentDetail(ev *seg.Evaluator, q sdl.Query, attrs []string) (string
 		}
 		switch c := col.(type) {
 		case *engine.StringColumn:
-			renderNominalDetail(&b, attr, engine.StringValueCounts(c, sel), len(sel))
+			renderNominalDetail(&b, attr, engine.StringValueCountsChunked(c, cs), cs.Len())
 		case *engine.BoolColumn:
-			renderNominalDetail(&b, attr, engine.BoolValueCounts(c, sel), len(sel))
+			renderNominalDetail(&b, attr, engine.BoolValueCountsChunked(c, cs), cs.Len())
 		default:
+			sel := cs.Flat()
 			counts, lo, hi, ok := HistogramBuckets(col, sel, 16)
 			if !ok {
 				fmt.Fprintf(&b, "  %-20s (constant: %s)\n", attr, col.Value(int(sel[0])).String())
