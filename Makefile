@@ -6,7 +6,7 @@ GO ?= go
 
 # Perf-trajectory artifact name; tracks the PR sequence so successive
 # baselines never overwrite each other in the artifact history.
-BENCH_OUT ?= BENCH_10.json
+BENCH_OUT ?= BENCH_13.json
 
 .PHONY: all build test test-race bench bench-smoke bench-json bench-scale bench-delta fmt fmt-check vet lint fuzz-smoke chaos metrics-smoke docs-check perfbench-check ci
 
@@ -83,13 +83,15 @@ lint:
 		echo "govulncheck ./..."; govulncheck ./...; \
 	else echo "govulncheck not installed; skipping"; fi
 
-# Short native-fuzz pass over the .chc parsers: enough budget to
-# exercise the mutators on every seed class, small enough for CI.
-# The exec-denominated minimize budget keeps a newly found
+# Short native-fuzz pass over the .chc parsers and the engine's
+# dictionary-code set kernels (checked against a map oracle): enough
+# budget to exercise the mutators on every seed class, small enough
+# for CI. The exec-denominated minimize budget keeps a newly found
 # interesting input from eating the wall-clock budget.
 fuzz-smoke:
 	$(GO) test ./internal/colfile -run=NONE -fuzz=FuzzReadPage -fuzztime=20s -fuzzminimizetime=30x
 	$(GO) test ./internal/colfile -run=NONE -fuzz=FuzzOpenColumnFile -fuzztime=20s -fuzzminimizetime=30x
+	$(GO) test ./internal/engine -run=NONE -fuzz=FuzzCodeSetFilter -fuzztime=20s -fuzzminimizetime=30x
 
 # Chaos gate: the failpoint suite under the race detector. Every
 # TestChaos* test arms an internal/fault failpoint (catalogue in

@@ -297,6 +297,7 @@ func (sv *server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	submitted := time.Now()
 	j, he := sv.submitAdvise(r, key, q, timeout)
 	if he != nil {
 		he.setRetryAfter(w)
@@ -305,8 +306,12 @@ func (sv *server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := j.Snapshot()
 	status := http.StatusAccepted
-	if snap.State == jobs.StateDone {
-		status = http.StatusOK // TTL'd hot hit: the job already ran
+	// A TTL'd hot hit — a job created before this request that
+	// already ran — answers 200. A job this request created answers
+	// 202 even when it finished before the snapshot, so a fresh
+	// submission's status never depends on how fast the advise ran.
+	if snap.State == jobs.StateDone && snap.Created.Before(submitted) {
+		status = http.StatusOK
 	}
 	jj := sv.renderJob(snap, true)
 	if !wantTrace {

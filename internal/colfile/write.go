@@ -2,12 +2,14 @@ package colfile
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 	"unsafe"
 
 	"charles/internal/engine"
@@ -205,6 +207,18 @@ func columnBytes(col engine.Column) (data []byte, dict []string, err error) {
 	}
 }
 
+// cmpBool orders false before true.
+func cmpBool(a, b bool) int {
+	switch {
+	case a == b:
+		return 0
+	case a:
+		return 1
+	default:
+		return -1
+	}
+}
+
 // clusterColumns returns the table's columns reordered by a stable
 // sort on the named column: ints/dates/floats ascending with NaN
 // floats last, strings in byte order, bools false before true.
@@ -218,26 +232,26 @@ func clusterColumns(t *engine.Table, by string) ([]engine.Column, error) {
 	for i := range perm {
 		perm[i] = i
 	}
-	var less func(a, b int) bool
+	var cmpRows func(a, b int) int
 	switch key := key.(type) {
 	case engine.IntValued:
-		less = func(a, b int) bool { return key.Int64(a) < key.Int64(b) }
+		cmpRows = func(a, b int) int { return cmp.Compare(key.Int64(a), key.Int64(b)) }
 	case engine.FloatValued:
-		less = func(a, b int) bool {
+		cmpRows = func(a, b int) int {
 			av, bv := key.Float64(a), key.Float64(b)
-			if av != av || bv != bv { // NaN sorts after every number
-				return av == av && bv != bv
+			if aNaN, bNaN := av != av, bv != bv; aNaN || bNaN { // NaN sorts after every number
+				return cmpBool(aNaN, bNaN)
 			}
-			return av < bv
+			return cmp.Compare(av, bv)
 		}
 	case *engine.StringColumn:
-		less = func(a, b int) bool { return key.Str(a) < key.Str(b) }
+		cmpRows = func(a, b int) int { return strings.Compare(key.Str(a), key.Str(b)) }
 	case *engine.BoolColumn:
-		less = func(a, b int) bool { return !key.Bool(a) && key.Bool(b) }
+		cmpRows = func(a, b int) int { return cmpBool(key.Bool(a), key.Bool(b)) }
 	default:
 		return nil, fmt.Errorf("colfile: cannot cluster by column %q of type %T", by, key)
 	}
-	sort.SliceStable(perm, func(i, j int) bool { return less(perm[i], perm[j]) })
+	slices.SortStableFunc(perm, cmpRows)
 
 	out := make([]engine.Column, t.NumCols())
 	for ci, col := range t.Columns() {

@@ -150,11 +150,11 @@ func FilterFloatSetChunkedBitmap(col FloatValued, cs *ChunkedSelection, values [
 
 // codeSetBits is the shared fused kernel for string predicates: the
 // dictionary-code comparison loop writing bits directly.
-func codeSetBits(codes []uint32, want map[uint32]struct{}) func(seg Selection, words []uint64, base int32) int {
+func codeSetBits(codes []uint32, want codeSet) func(seg Selection, words []uint64, base int32) int {
 	return func(seg Selection, words []uint64, base int32) int {
 		n := 0
 		for _, row := range seg {
-			if _, ok := want[codes[row]]; ok {
+			if want.has(codes[row]) {
 				local := row - base
 				words[local>>6] |= 1 << (uint(local) & 63)
 				n++
@@ -171,7 +171,7 @@ func FilterStringSetChunkedBitmap(col *StringColumn, cs *ChunkedSelection, value
 		return emptyBitmapLike(cs)
 	}
 	want := stringCodeSet(col, values)
-	if len(want) == 0 {
+	if want.n == 0 {
 		return emptyBitmapLike(cs)
 	}
 	return filterSegsBitmap(cs, codeSetVerdict(sum, want), codeSetBits(col.Codes(), want))
@@ -201,7 +201,7 @@ func FilterStringRangeChunkedBitmap(col *StringColumn, cs *ChunkedSelection, lo,
 		})
 	}
 	want := stringRangeCodeSet(col, lo, hi, loIncl, hiIncl)
-	if len(want) == 0 {
+	if want.n == 0 {
 		return emptyBitmapLike(cs)
 	}
 	return filterSegsBitmap(cs, codeSetVerdict(sum, want), codeSetBits(col.Codes(), want))

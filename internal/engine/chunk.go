@@ -2,7 +2,7 @@ package engine
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"charles/internal/fault"
@@ -405,24 +405,29 @@ func stringChunkBits(codes []uint32, lo, hi, words int) []uint64 {
 }
 
 // stringChunkList builds one chunk's sorted distinct-code list, or
-// reports overflow past the list cap.
+// reports overflow past the list cap. The list is kept sorted as it
+// grows, so membership is a binary search over at most
+// maxCodeListLen codes; consecutive rows repeating a code (the
+// clustered layouts zone maps pay off on) skip even that.
 func stringChunkList(codes []uint32, lo, hi int) (list []uint32, overflow bool) {
-	seen := make(map[uint32]struct{}, maxCodeListLen+1)
+	list = make([]uint32, 0, maxCodeListLen)
+	prev, havePrev := uint32(0), false
 	for r := lo; r < hi; r++ {
-		if _, ok := seen[codes[r]]; ok {
+		code := codes[r]
+		if havePrev && code == prev {
 			continue
 		}
-		if len(seen) == maxCodeListLen {
+		prev, havePrev = code, true
+		i, found := slices.BinarySearch(list, code)
+		if found {
+			continue
+		}
+		if len(list) == maxCodeListLen {
 			return nil, true
 		}
-		seen[codes[r]] = struct{}{}
+		list = slices.Insert(list, i, code)
 	}
-	list = make([]uint32, 0, len(seen))
-	for code := range seen {
-		list = append(list, code)
-	}
-	sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-	return list, false
+	return slices.Clone(list), false
 }
 
 // buildSummary computes the zone map, one chunk per worker-pool

@@ -213,35 +213,23 @@ func FilterFloatSetChunked(col FloatValued, cs *ChunkedSelection, values []float
 // none of the wanted codes, take when every distinct code it holds
 // is wanted (so the whole segment passes through by reference), scan
 // otherwise. Chunks whose sparse code list overflowed always scan.
-func codeSetVerdict(sum *ChunkSummary, want map[uint32]struct{}) func(c int) chunkVerdict {
+func codeSetVerdict(sum *ChunkSummary, want codeSet) func(c int) chunkVerdict {
 	if sum == nil || (sum.codeBits == nil && sum.codeList == nil) {
 		return scanAlways
 	}
 	if sum.codeBits != nil {
-		wantBits := make([]uint64, (sum.dictLen+63)/64)
-		for code := range want {
-			if int(code) < sum.dictLen {
-				wantBits[code>>6] |= 1 << (code & 63)
-			}
-		}
 		return func(c int) chunkVerdict {
 			anyWanted, allWanted := false, true
 			for i, present := range sum.codeBits[c] {
-				if present&wantBits[i] != 0 {
+				w := want.word(i)
+				if present&w != 0 {
 					anyWanted = true
 				}
-				if present&^wantBits[i] != 0 {
+				if present&^w != 0 {
 					allWanted = false
 				}
 			}
-			switch {
-			case !anyWanted:
-				return chunkSkip
-			case allWanted:
-				return chunkTake
-			default:
-				return chunkScan
-			}
+			return presenceVerdict(anyWanted, allWanted)
 		}
 	}
 	return func(c int) chunkVerdict {
@@ -250,7 +238,7 @@ func codeSetVerdict(sum *ChunkSummary, want map[uint32]struct{}) func(c int) chu
 		}
 		anyWanted, allWanted := false, true
 		for _, code := range sum.codeList[c] {
-			if _, ok := want[code]; ok {
+			if want.has(code) {
 				anyWanted = true
 			} else {
 				allWanted = false
@@ -259,14 +247,21 @@ func codeSetVerdict(sum *ChunkSummary, want map[uint32]struct{}) func(c int) chu
 				return chunkScan
 			}
 		}
-		switch {
-		case !anyWanted:
-			return chunkSkip
-		case allWanted:
-			return chunkTake
-		default:
-			return chunkScan
-		}
+		return presenceVerdict(anyWanted, allWanted)
+	}
+}
+
+// presenceVerdict maps a chunk's overlap with a wanted set to its
+// verdict: no wanted value present skips, only wanted values present
+// takes, anything else scans.
+func presenceVerdict(anyWanted, allWanted bool) chunkVerdict {
+	switch {
+	case !anyWanted:
+		return chunkSkip
+	case allWanted:
+		return chunkTake
+	default:
+		return chunkScan
 	}
 }
 
@@ -279,14 +274,7 @@ func boolSetVerdict(sum *ChunkSummary, wantTrue, wantFalse bool) func(c int) chu
 		hasTrue, hasFalse := sum.boolHasTrue[c], sum.boolHasFalse[c]
 		anyWanted := (wantTrue && hasTrue) || (wantFalse && hasFalse)
 		allWanted := (!hasTrue || wantTrue) && (!hasFalse || wantFalse)
-		switch {
-		case !anyWanted:
-			return chunkSkip
-		case allWanted:
-			return chunkTake
-		default:
-			return chunkScan
-		}
+		return presenceVerdict(anyWanted, allWanted)
 	}
 }
 
@@ -299,7 +287,7 @@ func FilterStringSetChunked(col *StringColumn, cs *ChunkedSelection, values []st
 		return emptyLike(cs)
 	}
 	want := stringCodeSet(col, values)
-	if len(want) == 0 {
+	if want.n == 0 {
 		return emptyLike(cs)
 	}
 	codes := col.Codes()
@@ -327,7 +315,7 @@ func FilterStringRangeChunked(col *StringColumn, cs *ChunkedSelection, lo, hi st
 		})
 	}
 	want := stringRangeCodeSet(col, lo, hi, loIncl, hiIncl)
-	if len(want) == 0 {
+	if want.n == 0 {
 		return emptyLike(cs)
 	}
 	codes := col.Codes()

@@ -518,6 +518,67 @@ func TestFloatOrderStatsNaNAndSignedZero(t *testing.T) {
 	}
 }
 
+// TestGatherEdgeCasesMatchSortOracle pins the one-buffer gather
+// behind every uncached median and cut point: chunks write straight
+// into one pooled vector at their prefix offsets, floats keep finite
+// values only and compact in chunk order. Chunks cycle through
+// all-NaN, NaN-free, mixed and (in the selection) empty; selections
+// cover everything, gapped runs, only all-NaN chunks, and nothing.
+// Points and medians must equal a sort oracle at one and several scan
+// workers — above parallelScanMinRows, so the gather fans out.
+func TestGatherEdgeCasesMatchSortOracle(t *testing.T) {
+	defer SetScanWorkers(0)
+	rng := rand.New(rand.NewSource(13))
+	const chunkRows = 64
+	nRows := parallelScanMinRows + 3*chunkRows + 17
+	floats := make([]float64, nRows)
+	ints := make([]int64, nRows)
+	for i := range floats {
+		ints[i] = int64(rng.Intn(500)) - 250
+		switch c := i / chunkRows; {
+		case c%4 == 0 || (c%4 == 2 && rng.Intn(2) == 0): // all-NaN, mixed
+			floats[i] = math.NaN()
+		default:
+			floats[i] = float64(rng.Intn(1000))/8 - 60
+		}
+	}
+	fcol, icol := NewFloatColumn("f", floats), NewIntColumn("i", ints)
+	inChunks := func(keep func(c int) bool) Selection {
+		return naiveFilter(AllRows(nRows), func(row int) bool { return keep(row / chunkRows) })
+	}
+	selections := map[string]Selection{
+		"all":       AllRows(nRows),
+		"gapped":    inChunks(func(c int) bool { return c%4 != 3 && rng.Intn(5) != 0 }),
+		"nan-only":  inChunks(func(c int) bool { return c%4 == 0 }),
+		"nan-free":  inChunks(func(c int) bool { return c%4 == 1 }),
+		"empty":     {},
+		"one-chunk": inChunks(func(c int) bool { return c == 2 }),
+	}
+	for _, workers := range []int{1, 2} {
+		SetScanWorkers(workers)
+		for name, sel := range selections {
+			cs := ChunkSelection(sel, nRows, chunkRows)
+			finite, vals := naiveFiniteFloats(fcol, sel), naiveInts(icol, sel)
+			for _, arity := range []int{2, 3, 5} {
+				if got, want := FloatCutPointsChunked(fcol, cs, arity), naiveCutPoints(finite, arity); !slices.Equal(got, want) {
+					t.Fatalf("workers=%d %s arity=%d: float points %v, oracle %v", workers, name, arity, got, want)
+				}
+				if got, want := IntCutPointsChunked(icol, cs, arity), naiveCutPoints(vals, arity); !slices.Equal(got, want) {
+					t.Fatalf("workers=%d %s arity=%d: int points %v, oracle %v", workers, name, arity, got, want)
+				}
+			}
+			fm, fok := FloatMedianChunked(fcol, cs)
+			if wm, wok := naiveMedian(finite); fm != wm || fok != wok {
+				t.Fatalf("workers=%d %s: float median %v/%v, oracle %v/%v", workers, name, fm, fok, wm, wok)
+			}
+			im, iok := IntMedianChunked(icol, cs)
+			if wm, wok := naiveMedian(vals); im != wm || iok != wok {
+				t.Fatalf("workers=%d %s: int median %v/%v, oracle %v/%v", workers, name, im, iok, wm, wok)
+			}
+		}
+	}
+}
+
 // TestNormalizeChunkRowsClamped pins the width normalization: powers
 // of two within [64, 2^30], automatic default below 1, and absurd
 // widths clamp instead of overflowing.

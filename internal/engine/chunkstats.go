@@ -148,56 +148,36 @@ func statWorkers(cs *ChunkedSelection) (workers int, release func()) {
 	return extra + 1, release
 }
 
-// gatherIntScratch is GatherIntChunked into pooled scratch buffers:
-// the shards feed one order-statistic computation and go straight
-// back to the pool via release, so a warm advisor's cut-point math
-// stops allocating gather targets. Callers must not retain any shard
-// past release.
-func gatherIntScratch(col IntValued, cs *ChunkedSelection) (chunks [][]int64, release func()) {
-	nc := cs.NumChunks()
-	chunks = make([][]int64, nc)
-	ptrs := make([]*[]int64, nc)
+// segOffsets returns each segment's start in the chunk-order
+// concatenation of cs: the prefix sums of the segment lengths.
+func segOffsets(cs *ChunkedSelection) []int {
+	offs := make([]int, cs.NumChunks())
+	n := 0
+	for c := range offs {
+		offs[c] = n
+		n += len(cs.Seg(c))
+	}
+	return offs
+}
+
+// gatherInts materializes col over cs into one pooled scratch vector
+// in chunk order: every chunk writes its values straight at its
+// prefix offset, so the gather fans out across the scan pool with no
+// per-chunk shards and no flatten copy. The vector feeds one
+// order-statistic computation; the caller must Put p back and must
+// not retain vals past that.
+func gatherInts(col IntValued, cs *ChunkedSelection) (p *[]int64, vals []int64) {
+	offs := segOffsets(cs)
+	p = int64Scratch.Get(cs.Len())
+	vals = *p
 	forEachSeg(cs, func(c int) {
-		seg := cs.Seg(c)
-		if len(seg) == 0 {
-			return
+		dst := vals[offs[c]:]
+		for i, row := range cs.Seg(c) {
+			dst[i] = col.Int64(int(row))
 		}
-		p := int64Scratch.Get(len(seg))
-		vals := *p
-		for i, row := range seg {
-			vals[i] = col.Int64(int(row))
-		}
-		ptrs[c], chunks[c] = p, vals
 	})
-	return chunks, func() {
-		for _, p := range ptrs {
-			if p != nil {
-				int64Scratch.Put(p)
-			}
-		}
-	}
-}
-
-// flattenInt64Scratch concatenates per-chunk shards into one pooled
-// vector of exactly n elements.
-func flattenInt64Scratch(chunks [][]int64, n int) (*[]int64, []int64) {
-	p := int64Scratch.Get(n)
-	out := (*p)[:0]
-	for _, ch := range chunks {
-		out = append(out, ch...)
-	}
-	//lint:pooledescape deliberate ownership transfer: every caller defers Put(p) before using out
-	return p, out
-}
-
-func flattenFloat64Scratch(chunks [][]float64, n int) (*[]float64, []float64) {
-	p := float64Scratch.Get(n)
-	out := (*p)[:0]
-	for _, ch := range chunks {
-		out = append(out, ch...)
-	}
-	//lint:pooledescape deliberate ownership transfer: every caller defers Put(p) before using out
-	return p, out
+	//lint:pooledescape deliberate ownership transfer: every caller defers Put(p) before using vals
+	return p, vals
 }
 
 // posZero canonicalizes -0.0 to +0.0. -0.0 and +0.0 compare equal,
@@ -211,57 +191,48 @@ func posZero(v float64) float64 {
 	return v
 }
 
-// gatherFloatFinite is GatherFloatChunked minus NaN values, into
-// pooled scratch buffers: the order statistics (medians, equi-depth
-// points) need a totally ordered multiset, and NaN has no rank.
-// Dropping it here keeps the cut points a function of the finite
-// values only, mirroring the NaN convention of FloatMinMaxChunked. n
-// is the finite-value total. Callers must not retain any shard past
-// release.
-func gatherFloatFinite(col FloatValued, cs *ChunkedSelection) (chunks [][]float64, n int, release func()) {
-	nc := cs.NumChunks()
-	chunks = make([][]float64, nc)
-	ptrs := make([]*[]float64, nc)
+// gatherFiniteFloats is gatherInts for float columns minus NaN
+// values: the order statistics (medians, equi-depth points) need a
+// totally ordered multiset, and NaN has no rank. Dropping it here
+// keeps the cut points a function of the finite values only,
+// mirroring the NaN convention of FloatMinMaxChunked. Each chunk
+// writes its finite values from its prefix offset; one sequential
+// pass then compacts the chunks' runs together in chunk order, so
+// vals is exactly the finite values in selection order. The caller
+// must Put p back and must not retain vals past that.
+func gatherFiniteFloats(col FloatValued, cs *ChunkedSelection) (p *[]float64, vals []float64) {
+	offs := segOffsets(cs)
+	kept := make([]int, len(offs))
+	p = float64Scratch.Get(cs.Len())
+	buf := *p
 	forEachSeg(cs, func(c int) {
-		seg := cs.Seg(c)
-		if len(seg) == 0 {
-			return
-		}
-		p := float64Scratch.Get(len(seg))
-		vals := (*p)[:0]
-		for _, row := range seg {
-			v := col.Float64(int(row))
-			if v == v { // not NaN
-				vals = append(vals, v)
+		dst, k := buf[offs[c]:], 0
+		for _, row := range cs.Seg(c) {
+			if v := col.Float64(int(row)); v == v { // not NaN
+				dst[k] = v
+				k++
 			}
 		}
-		ptrs[c], chunks[c] = p, vals
+		kept[c] = k
 	})
-	for _, ch := range chunks {
-		n += len(ch)
+	n := 0
+	for c, k := range kept {
+		n += copy(buf[n:], buf[offs[c]:offs[c]+k])
 	}
-	return chunks, n, func() {
-		for _, p := range ptrs {
-			if p != nil {
-				float64Scratch.Put(p)
-			}
-		}
-	}
+	//lint:pooledescape deliberate ownership transfer: every caller defers Put(p) before using vals
+	return p, buf[:n]
 }
 
 // IntMedianChunked returns the upper median of col over cs — the
-// Definition 5 cut point: per-chunk gather into pooled scratch, one
-// flatten, then an O(n) quickselect. ok is false when the selection
-// is empty.
+// Definition 5 cut point: one gather into pooled scratch, then an
+// O(n) quickselect. ok is false when the selection is empty.
 func IntMedianChunked(col IntValued, cs *ChunkedSelection) (int64, bool) {
 	if cs.Len() == 0 {
 		return 0, false
 	}
-	chunks, put := gatherIntScratch(col, cs)
-	defer put()
-	p, flat := flattenInt64Scratch(chunks, cs.Len())
+	p, vals := gatherInts(col, cs)
 	defer int64Scratch.Put(p)
-	return stats.MedianInt64(flat), true
+	return stats.MedianInt64(vals), true
 }
 
 // FloatMedianChunked is IntMedianChunked for float columns. NaN
@@ -272,29 +243,25 @@ func FloatMedianChunked(col FloatValued, cs *ChunkedSelection) (float64, bool) {
 	if cs.Len() == 0 {
 		return 0, false
 	}
-	chunks, n, put := gatherFloatFinite(col, cs)
-	defer put()
-	if n == 0 {
+	p, vals := gatherFiniteFloats(col, cs)
+	defer float64Scratch.Put(p)
+	if len(vals) == 0 {
 		return 0, false
 	}
-	p, flat := flattenFloat64Scratch(chunks, n)
-	defer float64Scratch.Put(p)
-	return posZero(stats.MedianFloat64(flat)), true
+	return posZero(stats.MedianFloat64(vals)), true
 }
 
 // IntCutPointsChunked returns up to arity−1 strictly increasing
 // equi-depth cut points of col over cs (Section 5.2's quantile
 // generalization; arity 2 is the paper's median cut), by the same
-// gather, flatten and quickselect as IntMedianChunked.
+// gather and quickselect as IntMedianChunked.
 func IntCutPointsChunked(col IntValued, cs *ChunkedSelection, arity int) []int64 {
 	if cs.Len() == 0 {
 		return nil
 	}
-	chunks, put := gatherIntScratch(col, cs)
-	defer put()
-	p, flat := flattenInt64Scratch(chunks, cs.Len())
+	p, vals := gatherInts(col, cs)
 	defer int64Scratch.Put(p)
-	return stats.EquiDepthPoints(flat, arity)
+	return stats.EquiDepthPoints(vals, arity)
 }
 
 // FloatCutPointsChunked is IntCutPointsChunked for float columns,
@@ -304,14 +271,12 @@ func FloatCutPointsChunked(col FloatValued, cs *ChunkedSelection, arity int) []f
 	if cs.Len() == 0 {
 		return nil
 	}
-	chunks, n, put := gatherFloatFinite(col, cs)
-	defer put()
-	if n == 0 {
+	p, vals := gatherFiniteFloats(col, cs)
+	defer float64Scratch.Put(p)
+	if len(vals) == 0 {
 		return nil
 	}
-	p, flat := flattenFloat64Scratch(chunks, n)
-	defer float64Scratch.Put(p)
-	points := stats.EquiDepthPointsFloat64(flat, arity)
+	points := stats.EquiDepthPointsFloat64(vals, arity)
 	for i, v := range points {
 		points[i] = posZero(v)
 	}
@@ -403,10 +368,11 @@ func BoolValueCountsChunked(col *BoolColumn, cs *ChunkedSelection) []stats.Value
 
 // IntSortedRuns gathers col over cs into one freshly allocated sorted
 // slice per chunk — the retainable form of the cut-point math that
-// the incremental-advise cut cache keeps across advises. Unlike
-// gatherIntScratch the shards are owned by the caller and must be
-// treated as immutable once returned (they may be shared between an
-// old and a spliced cache entry).
+// the incremental-advise cut cache keeps across advises (for
+// memory-backed tables only). Unlike gatherInts' scratch vector the
+// runs are owned by the caller and must be treated as immutable once
+// returned (they may be shared between an old and a spliced cache
+// entry).
 func IntSortedRuns(col IntValued, cs *ChunkedSelection) [][]int64 {
 	runs := GatherIntChunked(col, cs)
 	workers, release := statWorkers(cs)

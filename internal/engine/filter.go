@@ -62,10 +62,10 @@ func scanFloatRange(col FloatValued, part Selection, r FloatRange) Selection {
 	return out
 }
 
-func scanCodeSet(codes []uint32, part Selection, want map[uint32]struct{}) Selection {
+func scanCodeSet(codes []uint32, part Selection, want codeSet) Selection {
 	out := make(Selection, 0, len(part))
 	for _, row := range part {
-		if _, ok := want[codes[row]]; ok {
+		if want.has(codes[row]) {
 			out = append(out, row)
 		}
 	}
@@ -118,13 +118,48 @@ func scanBoolSet(col *BoolColumn, part Selection, wantTrue, wantFalse bool) Sele
 	return out
 }
 
+// codeSet is a set of dictionary codes as a dense bitset: bit
+// code&63 of words[code>>6], sized to the dictionary it was built
+// against. A code at or past that size — one the dictionary minted
+// after the set was built — is not a member, so a set stays valid
+// while its column grows.
+type codeSet struct {
+	words []uint64
+	n     int // members
+}
+
+func newCodeSet(dictLen int) codeSet {
+	return codeSet{words: make([]uint64, (dictLen+63)/64)}
+}
+
+func (s *codeSet) add(code uint32) {
+	w, bit := code>>6, uint64(1)<<(code&63)
+	if s.words[w]&bit == 0 {
+		s.words[w] |= bit
+		s.n++
+	}
+}
+
+func (s codeSet) has(code uint32) bool {
+	w := int(code >> 6)
+	return w < len(s.words) && s.words[w]&(1<<(code&63)) != 0
+}
+
+// word returns the i-th 64-code word, zero past the set's length.
+func (s codeSet) word(i int) uint64 {
+	if i < len(s.words) {
+		return s.words[i]
+	}
+	return 0
+}
+
 // stringCodeSet resolves values to dictionary codes: one map lookup
 // per distinct value, then the scans probe dense codes per row.
-func stringCodeSet(col *StringColumn, values []string) map[uint32]struct{} {
-	want := make(map[uint32]struct{}, len(values))
+func stringCodeSet(col *StringColumn, values []string) codeSet {
+	want := newCodeSet(col.Cardinality())
 	for _, v := range values {
 		if code, ok := col.CodeOf(v); ok {
-			want[code] = struct{}{}
+			want.add(code)
 		}
 	}
 	return want
@@ -134,8 +169,8 @@ func stringCodeSet(col *StringColumn, values []string) map[uint32]struct{} {
 // dictionary codes whose value falls inside it: one string
 // comparison per distinct value, so row scans and chunk verdicts
 // both work on dense codes.
-func stringRangeCodeSet(col *StringColumn, lo, hi string, loIncl, hiIncl bool) map[uint32]struct{} {
-	want := make(map[uint32]struct{})
+func stringRangeCodeSet(col *StringColumn, lo, hi string, loIncl, hiIncl bool) codeSet {
+	want := newCodeSet(col.Cardinality())
 	for code := 0; code < col.Cardinality(); code++ {
 		v := col.DictValue(uint32(code))
 		if v < lo || (v == lo && !loIncl) {
@@ -144,7 +179,7 @@ func stringRangeCodeSet(col *StringColumn, lo, hi string, loIncl, hiIncl bool) m
 		if v > hi || (v == hi && !hiIncl) {
 			continue
 		}
-		want[uint32(code)] = struct{}{}
+		want.add(uint32(code))
 	}
 	return want
 }

@@ -4,10 +4,10 @@ import "charles/internal/pool"
 
 // Pooled scratch buffers for the chunked hot paths. The order
 // statistics behind every cut point (medians, equi-depth quantiles)
-// gather the extent's values into transient buffers, consume them,
-// and drop them — on a warm advisor that is the single largest
-// source of steady-state garbage, so the gather targets and flatten
-// buffers recycle through internal/pool. Anything that escapes to a
+// gather the extent's values into one transient vector, consume it,
+// and drop it — on a warm advisor that is the single largest source
+// of steady-state garbage, so the gather vectors recycle through
+// internal/pool. Anything that escapes to a
 // caller (filter results, bitmaps, cached selections) is never
 // pooled.
 var (

@@ -404,16 +404,6 @@ func (m *Manager) cancelJob(j *Job) {
 	m.mu.Unlock()
 }
 
-// dropKeyFor unmaps a failed or cancelled job from the coalescing
-// index so the next submission of its key runs fresh.
-func (m *Manager) dropKeyFor(j *Job) {
-	m.mu.Lock()
-	if m.byKey[j.key] == j {
-		delete(m.byKey, j.key)
-	}
-	m.mu.Unlock()
-}
-
 // List returns a snapshot of every tracked job in creation order.
 func (m *Manager) List() []Snapshot {
 	m.mu.Lock()
@@ -560,6 +550,13 @@ func (m *Manager) execute(j *Job) {
 
 	m.mu.Lock()
 	m.running--
+	if err != nil && m.byKey[j.key] == j {
+		// Only successful results may serve future submissions of
+		// the same key. Unmap before done closes, so a waiter that
+		// resubmits as soon as it wakes runs fresh instead of
+		// joining this failed job.
+		delete(m.byKey, j.key)
+	}
 	m.mu.Unlock()
 
 	j.mu.Lock()
@@ -581,14 +578,8 @@ func (m *Manager) execute(j *Job) {
 		j.state = StateFailed
 		j.err = err
 	}
-	terminal := j.state
 	close(j.done)
 	j.mu.Unlock()
-	if terminal != StateDone {
-		// Only successful results may serve future submissions of
-		// the same key.
-		m.dropKeyFor(j)
-	}
 }
 
 // runContained invokes the job's RunFunc with panic containment: a

@@ -18,6 +18,12 @@
 // pieces for version-equal reuse but always recompute when stale —
 // floats deliberately so: a sorted run cannot reproduce the scan-order
 // tie between -0.0 and +0.0 that FloatMinMaxChunked's bounds carry.
+//
+// Refreshable state is kept only where a refresh can happen. A
+// read-only table (a .chc file: engine.Table.Mutable is false) never
+// changes, so its entries hold pieces alone and its cold cuts take
+// the O(n) gather → quickselect path — sorting every chunk to keep
+// runs nothing can ever splice would cost more than the cut itself.
 package seg
 
 import (
@@ -31,7 +37,7 @@ import (
 // (sorted runs, count vectors) is not retained: tiny extents resort
 // in microseconds, and the long tail of small segments would
 // otherwise dominate entry count. Pieces are still cached for
-// version-equal reuse.
+// version-equal reuse. Read-only tables retain no state at any size.
 const cutStateMinRows = 1 << 12
 
 // cachedCut is one cut-point cache entry: the computed pieces plus
@@ -110,7 +116,8 @@ func (e *Evaluator) cutPieces(q sdl.Query, attr string, col engine.Column, cs, p
 			return pieces, nil
 		}
 	}
-	pieces, state, err := e.computeCut(attr, col, cs, pointSel, opt, cs.Len() >= cutStateMinRows)
+	retain := e.tab.Mutable() && cs.Len() >= cutStateMinRows
+	pieces, state, err := e.computeCut(attr, col, cs, pointSel, opt, retain)
 	if err != nil {
 		return nil, err
 	}

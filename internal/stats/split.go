@@ -1,6 +1,10 @@
 package stats
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"strings"
+)
 
 // ValueCount pairs a nominal value with its frequency inside the
 // population being split.
@@ -14,18 +18,18 @@ type ValueCount struct {
 // the paper prescribes for low-cardinality nominal columns ("sort
 // the values by order of occurrence").
 func OrderByFrequency(vcs []ValueCount) {
-	sort.Slice(vcs, func(i, j int) bool {
-		if vcs[i].Count != vcs[j].Count {
-			return vcs[i].Count > vcs[j].Count
+	slices.SortFunc(vcs, func(a, b ValueCount) int {
+		if c := cmp.Compare(b.Count, a.Count); c != 0 {
+			return c
 		}
-		return vcs[i].Value < vcs[j].Value
+		return strings.Compare(a.Value, b.Value)
 	})
 }
 
 // OrderAlphabetically sorts vcs by value, the ordering the paper
 // prescribes for high-cardinality nominal columns.
 func OrderAlphabetically(vcs []ValueCount) {
-	sort.Slice(vcs, func(i, j int) bool { return vcs[i].Value < vcs[j].Value })
+	slices.SortFunc(vcs, func(a, b ValueCount) int { return strings.Compare(a.Value, b.Value) })
 }
 
 // NominalSplitPoint returns the index k (1 ≤ k ≤ len(vcs)−1) such
