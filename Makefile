@@ -6,9 +6,9 @@ GO ?= go
 
 # Perf-trajectory artifact name; tracks the PR sequence so successive
 # baselines never overwrite each other in the artifact history.
-BENCH_OUT ?= BENCH_13.json
+BENCH_OUT ?= BENCH_14.json
 
-.PHONY: all build test test-race bench bench-smoke bench-json bench-scale bench-delta fmt fmt-check vet lint fuzz-smoke chaos metrics-smoke docs-check perfbench-check ci
+.PHONY: all build test test-race bench bench-smoke bench-json bench-scale bench-delta fmt fmt-check vet lint fuzz-smoke chaos jobs-stress metrics-smoke docs-check perfbench-check ci
 
 all: build
 
@@ -101,6 +101,13 @@ fuzz-smoke:
 chaos:
 	$(GO) test -race -run 'TestChaos' ./...
 
+# Jobs stress gate: the two queue tests that once raced a job's
+# published state against the running count, repeated under the race
+# detector so a reintroduced ordering bug shows up as a failure
+# rather than an occasional flake.
+jobs-stress:
+	$(GO) test -race -count=20 -run 'TestQueueBackpressure|TestJobLifecycle' ./internal/jobs
+
 # Observability gate: boot a real charles-server, run one advise, and
 # require /healthz + /metrics to answer 200 with every layer's metric
 # families present (scripts/metrics_smoke.sh).
@@ -120,4 +127,4 @@ docs-check:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-ci: fmt-check vet lint build test-race chaos fuzz-smoke metrics-smoke docs-check perfbench-check bench-json bench-delta
+ci: fmt-check vet lint build test-race chaos jobs-stress fuzz-smoke metrics-smoke docs-check perfbench-check bench-json bench-delta

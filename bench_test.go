@@ -550,8 +550,9 @@ func BenchmarkE14BitmapIntersect(b *testing.B) {
 }
 
 // BenchmarkE15ParallelCells measures the parallel contingency-table
-// fan-out on an 8×8 cell grid over VOC 100k: representation × worker
-// count. The cell values are identical in every configuration
+// fan-out on an 8×8 cell grid over VOC 100k by worker count, each
+// segment in the representation its density picks. The cell values
+// are identical in every configuration
 // (TestCellCountsParallelMatchesSequential pins this); only the
 // wall-clock moves. On the single-core CI container the widths tie;
 // run on multi-core hardware to see the scaling.
@@ -569,18 +570,16 @@ func BenchmarkE15ParallelCells(b *testing.B) {
 	if err != nil || !ok {
 		b.Fatalf("InitialCut(built): %v ok=%v", err, ok)
 	}
-	for _, rep := range []seg.SelectionRep{seg.RepVector, seg.RepAuto} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("rep=%s/workers=%d", rep, workers), func(b *testing.B) {
-				po := seg.PairOptions{Workers: workers, Rep: rep}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := seg.CellCountsOpt(ev, s1, s2, po); err != nil {
-						b.Fatal(err)
-					}
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			po := seg.PairOptions{Workers: workers}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := seg.CellCountsOpt(ev, s1, s2, po); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

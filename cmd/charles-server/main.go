@@ -146,7 +146,7 @@ func (rc *resultCache) stats() (size, hits, misses int) {
 }
 
 // configFingerprint canonicalizes the knobs that shape advise
-// output. Workers, Selection and ChunkRows are deliberately absent:
+// output. Workers and ChunkRows are deliberately absent:
 // ranked output is identical across them by design (and by test), so
 // including them would only fragment the cache. Score does change
 // ranked output but is a function value with no canonical form;

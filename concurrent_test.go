@@ -156,41 +156,3 @@ func TestConcurrentAdaptive(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestSelectionRepDeterministic pins the representation half of the
-// determinism guarantee: the ranked advisor output is bit-identical
-// whether segment intersections run on sorted row-id vectors,
-// word-packed bitmaps, or the density-picked mix — at every worker
-// count.
-func TestSelectionRepDeterministic(t *testing.T) {
-	advSeq, ctx := concurrencyFixture(t, 1)
-	baseline, err := advSeq.Advise(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(baseline.Segmentations) < 2 {
-		t.Fatalf("baseline produced only %d segmentations, test is vacuous", len(baseline.Segmentations))
-	}
-	want := rankedFingerprint(baseline)
-	for _, rep := range []charles.SelectionRep{charles.RepVector, charles.RepBitmap, charles.RepAuto} {
-		for _, workers := range []int{1, 4} {
-			tab := charles.GenerateVOC(5000, 1)
-			cfg := charles.DefaultConfig()
-			cfg.Workers = workers
-			cfg.Selection = rep
-			adv := charles.NewAdvisor(tab, cfg)
-			res, err := adv.Advise(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := rankedFingerprint(res); got != want {
-				t.Fatalf("Selection=%v Workers=%d ranked output differs from vector/sequential:\n--- got ---\n%s--- want ---\n%s",
-					rep, workers, got, want)
-			}
-			if res.IndepEvals != baseline.IndepEvals || res.IndepCacheHits != baseline.IndepCacheHits {
-				t.Fatalf("Selection=%v Workers=%d INDEP counters (%d evals, %d hits) differ from baseline (%d, %d)",
-					rep, workers, res.IndepEvals, res.IndepCacheHits, baseline.IndepEvals, baseline.IndepCacheHits)
-			}
-		}
-	}
-}

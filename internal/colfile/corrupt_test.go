@@ -241,3 +241,33 @@ func TestOpenRejectsOutOfRangeCodes(t *testing.T) {
 	bad = rewriteFooter(t, bad, func(ft *footer) { ft.Columns[3].PageCRCs[0] = crc32.ChecksumIEEE(page0) })
 	expectOpenError(t, bad, "beyond the", "dictionary")
 }
+
+// TestPageChecksMatchRowScan pins the word-at-a-time open checks to
+// a row-at-a-time scan at every length around the lane widths, with
+// the one bad value in every position, tails included.
+func TestPageChecksMatchRowScan(t *testing.T) {
+	for n := 0; n <= 19; n++ {
+		for bad := -1; bad < n; bad++ {
+			codes := make([]uint32, n)
+			bools := make([]byte, n)
+			for i := range codes {
+				codes[i] = uint32(i % 3)
+				bools[i] = byte(i % 2)
+			}
+			if bad >= 0 {
+				codes[bad] = 1 << 20
+				bools[bad] = 2
+			}
+			want := uint32(0)
+			for _, c := range codes {
+				want = max(want, c)
+			}
+			if got := maxCode(codes); got != want {
+				t.Fatalf("n=%d bad=%d: maxCode = %d, want %d", n, bad, got, want)
+			}
+			if got := validBoolBytes(bools); got != (bad < 0) {
+				t.Fatalf("n=%d bad=%d: validBoolBytes = %v", n, bad, got)
+			}
+		}
+	}
+}

@@ -37,3 +37,17 @@ func mapFile(path string) ([]byte, func() error, error) {
 	}
 	return data, func() error { return syscall.Munmap(data) }, nil
 }
+
+// syncDir flushes dir's entries — a rename into it — to stable
+// storage.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

@@ -1,12 +1,13 @@
 package colfile
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -214,10 +215,12 @@ func (f *File) parse() error {
 			// Open promised the file was safe to query. A u32 per row,
 			// the scan costs the same as the boolean one.
 			codes := viewUint32(raw)
-			for row, code := range codes {
-				if int64(code) >= cm.DictCount {
-					return fmt.Errorf("column %q row %d: dictionary code %d beyond the %d-entry dictionary (§5.3)",
-						cm.Name, row, code, cm.DictCount)
+			if int64(maxCode(codes)) >= cm.DictCount {
+				for row, code := range codes {
+					if int64(code) >= cm.DictCount {
+						return fmt.Errorf("column %q row %d: dictionary code %d beyond the %d-entry dictionary (§5.3)",
+							cm.Name, row, code, cm.DictCount)
+					}
 				}
 			}
 			sc, err := engine.NewStringColumnFromDict(cm.Name, codes, dict)
@@ -230,9 +233,11 @@ func (f *File) parse() error {
 			// (§5.4), so boolean pages are validated eagerly for the
 			// same reason string codes are; bool columns are a byte
 			// per row, so the scan stays cheap.
-			for off, b := range raw {
-				if b > 1 {
-					return fmt.Errorf("column %q row %d: boolean byte 0x%02x, want 0 or 1 (§5.4)", cm.Name, off, b)
+			if !validBoolBytes(raw) {
+				for off, b := range raw {
+					if b > 1 {
+						return fmt.Errorf("column %q row %d: boolean byte 0x%02x, want 0 or 1 (§5.4)", cm.Name, off, b)
+					}
 				}
 			}
 			f.cols[i] = engine.NewBoolColumn(cm.Name, viewBool(raw))
@@ -259,7 +264,7 @@ func (f *File) parse() error {
 
 	// No two regions may overlap (§3): a footer crafted to alias one
 	// column's pages into another's would otherwise read cleanly.
-	sort.Slice(spans, func(a, b int) bool { return spans[a].off < spans[b].off })
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.off, b.off) })
 	for i := 1; i < len(spans); i++ {
 		prev := spans[i-1]
 		if prev.off+prev.length > spans[i].off {
@@ -345,6 +350,35 @@ func (f *File) Verify() error {
 // alignment-checked in parse, and the mapping base is page-aligned
 // (the read-everything fallback allocates 8-aligned), so the
 // reinterpretations are well-defined.
+
+// maxCode returns the largest dictionary code of a string page. The
+// open-time range check is the O(rows) part of Open, so it reduces
+// four independent lanes without a per-row branch; only a page that
+// fails is rescanned, to name the offending row.
+func maxCode(codes []uint32) uint32 {
+	var m0, m1, m2, m3 uint32
+	for ; len(codes) >= 4; codes = codes[4:] {
+		m0, m1, m2, m3 = max(m0, codes[0]), max(m1, codes[1]), max(m2, codes[2]), max(m3, codes[3])
+	}
+	for _, c := range codes {
+		m0 = max(m0, c)
+	}
+	return max(m0, m1, m2, m3)
+}
+
+// validBoolBytes reports whether every byte of a boolean page is 0 or 1,
+// OR-ing eight bytes at a time for the same reason maxCode reduces:
+// a byte other than 0 or 1 sets a bit the mask catches.
+func validBoolBytes(b []byte) bool {
+	var acc uint64
+	for ; len(b) >= 8; b = b[8:] {
+		acc |= binary.LittleEndian.Uint64(b)
+	}
+	for _, x := range b {
+		acc |= uint64(x)
+	}
+	return acc&0xFEFEFEFEFEFEFEFE == 0
+}
 
 func viewInt64(b []byte) []int64 {
 	if len(b) == 0 {

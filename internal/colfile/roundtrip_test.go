@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 
 	"charles/internal/engine"
@@ -231,5 +233,49 @@ func TestRoundTripEmptyTable(t *testing.T) {
 	}
 	if err := f.Verify(); err != nil {
 		t.Fatalf("verify empty table: %v", err)
+	}
+}
+
+// TestConcurrentWritersSamePath pins that two writers of one path
+// never clobber each other's temp file: both calls succeed, the file
+// left behind is one of the two complete tables, and no temp file is
+// left in the directory.
+func TestConcurrentWritersSamePath(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "table"+Extension)
+	tabs := []*engine.Table{testTable(t, 3000, 1), testTable(t, 5000, 2)}
+	errs := make(chan error, len(tabs))
+	var wg sync.WaitGroup
+	for _, tab := range tabs {
+		wg.Add(1)
+		go func(tab *engine.Table) {
+			defer wg.Done()
+			errs <- Write(path, tab, WriteOptions{ChunkRows: 1024})
+		}(tab)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("concurrent write: %v", err)
+		}
+	}
+	f, err := Open(path)
+	if err != nil {
+		t.Fatalf("open after concurrent writes: %v", err)
+	}
+	defer f.Close()
+	if err := f.Verify(); err != nil {
+		t.Fatalf("verify after concurrent writes: %v", err)
+	}
+	if n := f.NumRows(); n != 3000 && n != 5000 {
+		t.Fatalf("file holds %d rows, want one writer's 3000 or 5000", n)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after both writes, want only the table", len(entries))
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"unsafe"
@@ -29,9 +30,11 @@ type WriteOptions struct {
 }
 
 // Write persists a table to path in the colfile format
-// (docs/FORMAT.md), writing to a temporary sibling first and
-// renaming into place so a crashed ingest never leaves a partial
-// file under the real name.
+// (docs/FORMAT.md), writing to a uniquely named temporary sibling,
+// fsyncing it, renaming it into place and fsyncing the directory, so
+// neither a crashed ingest nor a power loss leaves a partial file
+// under the real name, and concurrent writers of one path each
+// publish a complete file (the last rename wins).
 func Write(path string, t *engine.Table, opts WriteOptions) error {
 	if !hostLittleEndian() {
 		return fmt.Errorf("colfile: writing requires a little-endian host (§2)")
@@ -59,20 +62,39 @@ func Write(path string, t *engine.Table, opts WriteOptions) error {
 	shadow.SetChunkRows(chunkRows)
 	shadow.WarmSummaries()
 
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	// A uniquely named temp file in the target directory: concurrent
+	// writers of one path never share it, and the rename stays within
+	// one file system. Its bytes reach stable storage before the
+	// rename publishes them, and the directory entry after, so a
+	// power loss leaves the old file or the complete new one.
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp)
+	tmp := f.Name()
+	defer os.Remove(tmp) // no-op once renamed
 	if err := writeFile(f, shadow, opts.ClusterBy); err != nil {
+		f.Close()
+		return err
+	}
+	// CreateTemp makes the file owner-only; a .chc is as readable as
+	// any file os.Create would have made.
+	if err := f.Chmod(0o644); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
 		f.Close()
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(dir)
 }
 
 // countingWriter tracks the absolute file offset and sticks at the

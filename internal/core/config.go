@@ -8,7 +8,9 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"charles/internal/par"
 	"charles/internal/seg"
@@ -65,21 +67,12 @@ type Config struct {
 	// available CPU (runtime.GOMAXPROCS). The ranked output is
 	// identical for every worker count.
 	Workers int
-	// Selection picks the physical representation of segment
-	// selections inside the pairwise operators (PRODUCT and the
-	// contingency tables behind INDEP): seg.RepAuto (the default)
-	// packs extents covering ≥ 1/64 of the table into word-wise
-	// AND+popcount bitmaps and keeps sparse ones as sorted row-id
-	// vectors; seg.RepVector and seg.RepBitmap force one
-	// representation everywhere. All settings produce identical
-	// ranked output — only the wall-clock moves.
-	Selection seg.SelectionRep
 	// ChunkRows fixes the storage layer's row-range chunk width —
 	// the shard the table, its selections and its bitmaps split into
 	// for parallel scanning and zone-map skipping. 0 (the default)
 	// means the automatic width (engine.DefaultChunkRows, 64K rows);
 	// other values are rounded up to a power of two. Like Workers
-	// and Selection it never changes ranked output — the k-th
+	// it never changes ranked output — the k-th
 	// smallest of a multiset does not depend on how the multiset is
 	// sharded — only where the wall-clock and memory go.
 	ChunkRows int
@@ -152,20 +145,20 @@ func newScored(s *seg.Segmentation, score ScoreFunc) Scored {
 // tie-breaks: breadth descending, simplicity ascending, depth
 // descending, then canonical key.
 func sortScored(out []Scored) {
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	slices.SortStableFunc(out, func(a, b Scored) int {
 		if a.Score != b.Score {
-			return a.Score > b.Score
+			// Negative exactly when a.Score > b.Score, NaN included,
+			// as the reflection sort's less function had it.
+			if a.Score > b.Score {
+				return -1
+			}
+			return 1
 		}
-		if a.Metrics.Breadth != b.Metrics.Breadth {
-			return a.Metrics.Breadth > b.Metrics.Breadth
-		}
-		if a.Metrics.Simplicity != b.Metrics.Simplicity {
-			return a.Metrics.Simplicity < b.Metrics.Simplicity
-		}
-		if a.Metrics.Depth != b.Metrics.Depth {
-			return a.Metrics.Depth > b.Metrics.Depth
-		}
-		return a.Seg.Key() < b.Seg.Key()
+		return cmp.Or(
+			cmp.Compare(b.Metrics.Breadth, a.Metrics.Breadth),
+			cmp.Compare(a.Metrics.Simplicity, b.Metrics.Simplicity),
+			cmp.Compare(b.Metrics.Depth, a.Metrics.Depth),
+			strings.Compare(a.Seg.Key(), b.Seg.Key()),
+		)
 	})
 }

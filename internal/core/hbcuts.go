@@ -365,7 +365,7 @@ func (st *hbState) pickPair() (int, int, float64, error) {
 // under: the configured selection representation, the advise-wide
 // pair-side memo, with the cell loop bounded at workers goroutines.
 func (st *hbState) pairOpts(workers int) seg.PairOptions {
-	return seg.PairOptions{Workers: workers, Rep: st.cfg.Selection, Memo: st.memo, Ctx: st.ctx}
+	return seg.PairOptions{Workers: workers, Memo: st.memo, Ctx: st.ctx}
 }
 
 func pairKey(a, b candidate) [2]int {

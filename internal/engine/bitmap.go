@@ -84,8 +84,7 @@ func (b *Bitmap) chunkWordCount(c int) int {
 // returns the count set.
 func setSegBits(words []uint64, seg Selection, base int32) int {
 	for _, row := range seg {
-		local := row - base
-		words[local>>6] |= 1 << (uint(local) & 63)
+		setBit(words, row-base)
 	}
 	return len(seg)
 }

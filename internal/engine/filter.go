@@ -95,16 +95,20 @@ func scanFloatSet(col FloatValued, part Selection, want map[float64]struct{}) Se
 func scanStringRange(col *StringColumn, part Selection, lo, hi string, loIncl, hiIncl bool) Selection {
 	out := make(Selection, 0, len(part))
 	for _, row := range part {
-		v := col.Str(int(row))
-		if v < lo || (v == lo && !loIncl) {
-			continue
+		if inStringRange(col.Str(int(row)), lo, hi, loIncl, hiIncl) {
+			out = append(out, row)
 		}
-		if v > hi || (v == hi && !hiIncl) {
-			continue
-		}
-		out = append(out, row)
 	}
 	return out
+}
+
+// inStringRange reports whether v lies in the lexicographic interval
+// [lo, hi] under the given inclusivity.
+func inStringRange(v, lo, hi string, loIncl, hiIncl bool) bool {
+	if v < lo || (v == lo && !loIncl) {
+		return false
+	}
+	return v < hi || (v == hi && hiIncl)
 }
 
 func scanBoolSet(col *BoolColumn, part Selection, wantTrue, wantFalse bool) Selection {
@@ -172,71 +176,9 @@ func stringCodeSet(col *StringColumn, values []string) codeSet {
 func stringRangeCodeSet(col *StringColumn, lo, hi string, loIncl, hiIncl bool) codeSet {
 	want := newCodeSet(col.Cardinality())
 	for code := 0; code < col.Cardinality(); code++ {
-		v := col.DictValue(uint32(code))
-		if v < lo || (v == lo && !loIncl) {
-			continue
+		if inStringRange(col.DictValue(uint32(code)), lo, hi, loIncl, hiIncl) {
+			want.add(uint32(code))
 		}
-		if v > hi || (v == hi && !hiIncl) {
-			continue
-		}
-		want.add(uint32(code))
 	}
 	return want
-}
-
-// int64Set builds the membership set plus its hull [min, max] (for
-// zone-map pruning). values must be non-empty.
-func int64Set(values []int64) (want map[int64]struct{}, min, max int64) {
-	want = make(map[int64]struct{}, len(values))
-	min, max = values[0], values[0]
-	for _, v := range values {
-		want[v] = struct{}{}
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return want, min, max
-}
-
-// float64Set is int64Set over floats. NaN values enter the map (as
-// unreachable entries, matching no row — map lookups never find NaN
-// keys) but are excluded from the hull.
-func float64Set(values []float64) (want map[float64]struct{}, min, max float64) {
-	want = make(map[float64]struct{}, len(values))
-	first := true
-	for _, v := range values {
-		want[v] = struct{}{}
-		if v != v { // NaN
-			continue
-		}
-		if first {
-			min, max, first = v, v, false
-			continue
-		}
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	if first { // all NaN: an empty hull that prunes nothing
-		min, max = 0, 0
-	}
-	return want, min, max
-}
-
-// boolWants folds a bool set constraint into its two flags.
-func boolWants(values []bool) (wantTrue, wantFalse bool) {
-	for _, v := range values {
-		if v {
-			wantTrue = true
-		} else {
-			wantFalse = true
-		}
-	}
-	return wantTrue, wantFalse
 }

@@ -131,7 +131,7 @@ func TestNominalEdgeCases(t *testing.T) {
 		if sum == nil {
 			t.Fatal("bool column must have a presence summary")
 		}
-		verdict := boolSetVerdict(sum, true, false) // want {true}
+		_, _, verdict, _ := boolSetPredicate([]bool{true}, sum)
 		expect := []chunkVerdict{chunkSkip, chunkTake, chunkScan}
 		for c, v := range expect {
 			if got := verdict(c); got != v {

@@ -507,25 +507,29 @@ func (m *Manager) worker() {
 
 // execute runs one job to a terminal state.
 func (m *Manager) execute(j *Job) {
+	// The job is counted as running before its state says so, so
+	// Stats never reports Running: 0 for a job a snapshot shows
+	// running. m.mu nests outside j.mu, the order purgeLocked takes
+	// them in.
+	m.mu.Lock()
 	j.mu.Lock()
 	if j.state != StateQueued { // cancelled while waiting
 		j.mu.Unlock()
+		m.mu.Unlock()
 		return
 	}
+	m.running++
 	j.state = StateRunning
 	j.started = time.Now()
 	started, created := j.started, j.created
 	j.mu.Unlock()
+	m.mu.Unlock()
 
 	wait := started.Sub(created)
 	j.trace.Observe("queue_wait", wait)
 	if m.opt.Metrics != nil {
 		m.opt.Metrics.QueueWait.Observe(wait.Seconds())
 	}
-
-	m.mu.Lock()
-	m.running++
-	m.mu.Unlock()
 
 	// The run context is the job's cancel context, tightened by the
 	// job's deadline when one is set. The two are distinguishable

@@ -83,6 +83,15 @@ func TestJobLifecycle(t *testing.T) {
 	if snap.Started.IsZero() || snap.Created.IsZero() {
 		t.Fatal("running job missing timestamps")
 	}
+	// The run function reports progress after the job turns running,
+	// so wait for the first report rather than expect it at once.
+	deadline := time.Now().Add(10 * time.Second)
+	for snap.Progress.Phase != core.PhaseCuts && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		if snap, err = m.Get(j.ID()); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if snap.Progress.Phase != core.PhaseCuts {
 		t.Fatalf("progress not threaded: %+v", snap.Progress)
 	}

@@ -9,7 +9,7 @@ package sdl
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"charles/internal/engine"
@@ -114,7 +114,7 @@ func SetC(attr string, vals ...engine.Value) Constraint {
 func canonicalSet(vals []engine.Value) []engine.Value {
 	out := make([]engine.Value, 0, len(vals))
 	out = append(out, vals...)
-	sort.Slice(out, func(i, j int) bool { return valueLess(out[i], out[j]) })
+	slices.SortFunc(out, valueCompare)
 	dedup := out[:0]
 	for i, v := range out {
 		if i == 0 || !v.Equal(out[i-1]) {
@@ -138,6 +138,19 @@ func valueLess(a, b engine.Value) bool {
 	default:
 		return a.AsFloat() < b.AsFloat()
 	}
+}
+
+// valueCompare orders values for canonicalSet. It is negative
+// exactly when valueLess holds, so sets keep the order — NaN
+// included — that the canonical keys were always built in.
+func valueCompare(a, b engine.Value) int {
+	switch {
+	case valueLess(a, b):
+		return -1
+	case valueLess(b, a):
+		return 1
+	}
+	return 0
 }
 
 type family uint8
@@ -203,7 +216,7 @@ type Query struct {
 func NewQuery(cs ...Constraint) (Query, error) {
 	sorted := make([]Constraint, len(cs))
 	copy(sorted, cs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Attr < sorted[j].Attr })
+	slices.SortFunc(sorted, func(a, b Constraint) int { return strings.Compare(a.Attr, b.Attr) })
 	for i, c := range sorted {
 		if err := c.Validate(); err != nil {
 			return Query{}, err

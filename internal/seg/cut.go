@@ -164,8 +164,7 @@ func intRangePieces(attr string, col engine.IntValued, min, max int64, points []
 	return out
 }
 
-// errCutKind is the uncuttable-column error both the cached and
-// uncached dispatch return.
+// errCutKind is the uncuttable-column error of the cut dispatch.
 func errCutKind(attr string, col engine.Column) error {
 	return fmt.Errorf("seg: cannot cut column %q of kind %v", attr, col.Kind())
 }
@@ -335,9 +334,8 @@ func Cut(ev *Evaluator, s *Segmentation, attr string, opt CutOptions) (*Segmenta
 		if len(children) == 1 {
 			// Degenerate cut: the query survives whole and its count
 			// is already known, so the parent selection is never
-			// needed — fetching it anyway would be a wasted full
-			// evaluation with caching off and would skew the E6/E7
-			// FullEvals counters.
+			// needed — fetching it anyway would be a wasted lookup,
+			// or a full evaluation once the entry is evicted.
 			if s.Counts[i] > 0 {
 				out.Queries = append(out.Queries, children[0])
 				out.Counts = append(out.Counts, s.Counts[i])

@@ -433,11 +433,9 @@ func repeat(s string, n int) []string {
 }
 
 // TestDegenerateCutSkipsParentEval is the regression test for the
-// wasted-evaluation fix: when a query cannot be split (the attribute
-// is constant within its extent), Cut must not fetch the parent
-// selection it never uses. With caching off, that wasted fetch was a
-// full evaluation per degenerate cut, skewing the E6/E7 FullEvals
-// counters.
+// wasted-lookup fix: when a query cannot be split (the attribute is
+// constant within its extent), Cut must not fetch the parent
+// selection it never uses.
 func TestDegenerateCutSkipsParentEval(t *testing.T) {
 	tab := engine.MustNewTable("t",
 		engine.NewIntColumn("v", []int64{1, 2, 3, 4}),
@@ -449,9 +447,9 @@ func TestDegenerateCutSkipsParentEval(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
-	// With caching off every Select is a full evaluation, so the
-	// counter exposes exactly how many selections the cut fetched.
-	ev.SetCaching(false)
+	// Every selection lookup is either a full evaluation or a cache
+	// hit, so their sum is exactly how many selections the cut
+	// fetched.
 	m := liveMetrics(ev)
 	noop, err := Cut(ev, a, "c", DefaultCutOptions())
 	if err != nil {
@@ -462,8 +460,8 @@ func TestDegenerateCutSkipsParentEval(t *testing.T) {
 	}
 	// CutQuery needs one Select per query to find the (degenerate)
 	// cut points; the unused parent selection must not add a second.
-	if got := int(m.FullEvals.Value()); got != a.Depth() {
-		t.Fatalf("degenerate cut cost %d full evals, want %d (one per query)", got, a.Depth())
+	if got := int(m.FullEvals.Value() + m.CacheHits.Value()); got != a.Depth() {
+		t.Fatalf("degenerate cut cost %d lookups, want %d (one per query)", got, a.Depth())
 	}
 }
 
@@ -482,7 +480,6 @@ func TestMixedCutSkipsParentEvalForDegeneratePieces(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
-	ev.SetCaching(false)
 	m := liveMetrics(ev)
 	cut, err := Cut(ev, a, "c", DefaultCutOptions())
 	if err != nil {
@@ -493,7 +490,7 @@ func TestMixedCutSkipsParentEvalForDegeneratePieces(t *testing.T) {
 	}
 	// Two CutQuery selects + one parent re-select for the split
 	// query only. (Narrow evaluations are counted separately.)
-	if got := m.FullEvals.Value(); got != 3 {
-		t.Fatalf("mixed cut cost %d full evals, want 3", got)
+	if got := m.FullEvals.Value() + m.CacheHits.Value(); got != 3 {
+		t.Fatalf("mixed cut cost %d lookups, want 3", got)
 	}
 }

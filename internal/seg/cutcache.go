@@ -93,18 +93,10 @@ func (e *Evaluator) storeCut(key string, ent cachedCut) {
 
 // cutPieces computes (or reuses) the piece constraints CUT splits q
 // into along attr — the single entry point CutQuery dispatches
-// through, so cached and uncached runs produce identical pieces by
-// construction. pointSel, when non-nil, is the systematic sample the
+// through. pointSel, when non-nil, is the systematic sample the
 // points are estimated from (Section 5.2); sampled points are cached
 // but never refreshed incrementally.
 func (e *Evaluator) cutPieces(q sdl.Query, attr string, col engine.Column, cs, pointSel *engine.ChunkedSelection, opt CutOptions) ([]sdl.Constraint, error) {
-	if !e.caching.Load() {
-		pieces, _, err := e.computeCut(attr, col, cs, pointSel, opt, false)
-		if err == nil && len(pieces) >= 2 {
-			e.countCutPointCalc()
-		}
-		return pieces, err
-	}
 	key := cutKey(q, attr, opt)
 	cur := e.tab.Stamp()
 	if ent, ok := e.cachedCutEntry(key); ok {
@@ -141,7 +133,7 @@ type cutState struct {
 // entry can be refreshed chunk-at-a-time later; the results are
 // pinned byte-identical to the scratch-based forms. Everything else —
 // sampled points, floats, bools, the degenerate fallback — takes
-// exactly the code path the uncached evaluator takes.
+// the scratch-based path whether or not state is retained.
 func (e *Evaluator) computeCut(attr string, col engine.Column, cs, pointSel *engine.ChunkedSelection, opt CutOptions, retain bool) ([]sdl.Constraint, cutState, error) {
 	var state cutState
 	var pieces []sdl.Constraint

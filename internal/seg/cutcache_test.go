@@ -136,22 +136,30 @@ func TestCutCacheWidthChangeRecomputes(t *testing.T) {
 	}
 }
 
-// TestCutCacheCachingOff pins that the ablation path bypasses the cut
-// cache entirely and still answers identically.
-func TestCutCacheCachingOff(t *testing.T) {
+// TestCutQueryOneLookup pins the cut path's cost on a caching
+// evaluator: each CutQuery fetches its query's selection exactly once
+// (one lookup: a full evaluation or a cache hit), a repeat cut is
+// served from the cut cache without recomputing points, and the
+// pieces match a cold evaluator's.
+func TestCutQueryOneLookup(t *testing.T) {
 	tab := cutCacheTable(t)
-	on := NewEvaluator(tab)
-	off := NewEvaluator(tab)
-	off.SetCaching(false)
+	ev := NewEvaluator(tab)
+	m := liveMetrics(ev)
 	ctx := sdl.ContextAll(tab)
 	for _, attr := range []string{"v", "s"} {
-		a := childKeys(t, on, ctx, attr)
-		b := childKeys(t, off, ctx, attr)
-		if fmt.Sprint(a) != fmt.Sprint(b) {
-			t.Fatalf("%s: cached and uncached cuts diverged:\n%v\n%v", attr, a, b)
+		lookups := m.FullEvals.Value() + m.CacheHits.Value()
+		first := childKeys(t, ev, ctx, attr)
+		calcs := m.CutPointCalcs.Value()
+		second := childKeys(t, ev, ctx, attr)
+		if got := m.FullEvals.Value() + m.CacheHits.Value() - lookups; got != 2 {
+			t.Fatalf("%s: two cuts cost %d selection lookups, want 2", attr, got)
 		}
-	}
-	if off.CacheLen() != 0 {
-		t.Fatal("uncached evaluator stored selections")
+		if m.CutPointCalcs.Value() != calcs || m.CutCacheHits.Value() == 0 {
+			t.Fatalf("%s: repeat cut recomputed its points", attr)
+		}
+		cold := childKeys(t, NewEvaluator(tab), ctx, attr)
+		if fmt.Sprint(first) != fmt.Sprint(cold) || fmt.Sprint(second) != fmt.Sprint(cold) {
+			t.Fatalf("%s: cached and cold cuts diverged:\n%v\n%v\n%v", attr, first, second, cold)
+		}
 	}
 }

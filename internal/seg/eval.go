@@ -59,37 +59,25 @@ type EvalMetrics struct {
 // worker count while the per-shard maps stay dense.
 const cacheShards = 32
 
-// cachedSel is one selection cache entry: the result plus the table
-// epoch stamp it was evaluated under. The stamp is what keeps a
-// cache correct across table mutation — equal versions mean the
-// entry is exact, and a moved version tells the evaluator precisely
-// which chunks to re-evaluate (DirtyVs) before serving it again.
-// Never cache a bare selection: without its stamp a stale entry is
+// cachedSel is one selection cache entry: the query's selection in
+// either form or both — chunked row ids (cs), the word-packed bitmap
+// the pairwise operators count with (bm) — plus the table epoch stamp
+// at which every form it holds is exact. The stamp is what keeps a
+// cache correct across table mutation: equal versions mean the entry
+// is exact, and a moved version tells the evaluator precisely which
+// chunks to re-evaluate (DirtyVs) before serving it again. Never
+// cache a bare selection: without its stamp a stale entry is
 // indistinguishable from a fresh one.
 type cachedSel struct {
 	cs    *engine.ChunkedSelection
-	stamp *engine.EpochStamp
-}
-
-// cachedBitmap is cachedSel for the word-packed form.
-type cachedBitmap struct {
 	bm    *engine.Bitmap
 	stamp *engine.EpochStamp
 }
 
-// cacheShard is one lock stripe of the selection cache. Selections
-// are cached in their chunked form; the flat view every chunked
-// selection lazily carries means vector consumers share the same
-// cache entries.
+// cacheShard is one lock stripe of the selection cache.
 type cacheShard struct {
 	mu sync.RWMutex
 	m  map[string]cachedSel
-}
-
-// bitmapShard is one lock stripe of the packed-selection cache.
-type bitmapShard struct {
-	mu sync.RWMutex
-	m  map[string]cachedBitmap
 }
 
 // cacheSeed keys the shard hash; shared by all evaluators so shard
@@ -104,20 +92,21 @@ var cacheSeed = maphash.MakeSeed()
 // every predicate narrows the per-chunk segments independently
 // across the scan worker pool, zone maps skip chunks a range cannot
 // match, and narrow (parent→child) evaluations touch only the chunks
-// where the parent selection has rows. The cache is sharded behind
-// fine-grained reader/writer locks and the metrics are atomic, so
-// one Evaluator safely serves many goroutines — the foundation of
-// the parallel advisor core and the multi-session server.
+// where the parent selection has rows. One cache entry per query
+// holds whichever forms were asked for — row ids, bitmap or both —
+// and a mutation refreshes each held form over the dirty chunks
+// only. The cache is sharded behind fine-grained reader/writer locks
+// and the metrics are atomic, so one Evaluator safely serves many
+// goroutines — the foundation of the parallel advisor core and the
+// multi-session server.
 type Evaluator struct {
-	tab      *engine.Table
-	shards   [cacheShards]cacheShard
-	bmShards [cacheShards]bitmapShard
+	tab    *engine.Table
+	shards [cacheShards]cacheShard
 	// cutMu guards cuts, the cut-point cache (cutcache.go). Cut
 	// entries are far fewer and far larger than selections — sorted
 	// value runs, not row ids — so one stripe suffices.
-	cutMu   sync.RWMutex
-	cuts    map[string]cachedCut
-	caching atomic.Bool
+	cutMu sync.RWMutex
+	cuts  map[string]cachedCut
 	// zonePruning gates the zone-map verdicts (numeric bounds and
 	// nominal presence alike). On by default; the off position is the
 	// equivalence ablation — output must be byte-identical either
@@ -128,7 +117,7 @@ type Evaluator struct {
 	// keeps cold full evaluations from each allocating an
 	// |table|-sized identity vector.
 	identity atomic.Pointer[engine.ChunkedSelection]
-	// limit bounds the total cached selections (0 = unbounded).
+	// limit bounds the total cache entries (0 = unbounded).
 	// Long-lived shared evaluators — the multi-session server — set
 	// it so user-supplied contexts cannot grow memory without bound.
 	limit atomic.Int64
@@ -144,10 +133,6 @@ func NewEvaluator(t *engine.Table) *Evaluator {
 	for i := range e.shards {
 		e.shards[i].m = make(map[string]cachedSel)
 	}
-	for i := range e.bmShards {
-		e.bmShards[i].m = make(map[string]cachedBitmap)
-	}
-	e.caching.Store(true)
 	e.zonePruning.Store(true)
 	e.em.Store(&EvalMetrics{})
 	return e
@@ -195,40 +180,16 @@ func (e *Evaluator) allRows() *engine.ChunkedSelection {
 	return cs
 }
 
-// SetCacheLimit bounds the number of cached selections; at the
-// limit an arbitrary entry per shard is evicted to make room.
-// n <= 0 means unbounded (the default, right for one-shot advisory
-// runs and the paper experiments).
+// SetCacheLimit bounds the number of cached selections (one entry
+// per query, whichever forms it holds); at the limit an arbitrary
+// entry per shard is evicted to make room. n <= 0 means unbounded
+// (the default, right for one-shot advisory runs and the paper
+// experiments).
 func (e *Evaluator) SetCacheLimit(n int) {
 	if n < 0 {
 		n = 0
 	}
 	e.limit.Store(int64(n))
-}
-
-// SetCaching toggles the selection cache (the E6 ablation). Turning
-// caching off also drops the current cache. The toggle applies to
-// evaluations that start afterwards; flip it while the evaluator is
-// quiescent when exact ablation metrics matter.
-func (e *Evaluator) SetCaching(on bool) {
-	e.caching.Store(on)
-	if !on {
-		for i := range e.shards {
-			s := &e.shards[i]
-			s.mu.Lock()
-			s.m = make(map[string]cachedSel)
-			s.mu.Unlock()
-		}
-		for i := range e.bmShards {
-			s := &e.bmShards[i]
-			s.mu.Lock()
-			s.m = make(map[string]cachedBitmap)
-			s.mu.Unlock()
-		}
-		e.cutMu.Lock()
-		e.cuts = make(map[string]cachedCut)
-		e.cutMu.Unlock()
-	}
 }
 
 // CacheLen returns the number of cached selections.
@@ -258,266 +219,43 @@ func (e *Evaluator) cached(key string) (cachedSel, bool) {
 	return ent, ok
 }
 
-// store records key → sel. Concurrent evaluators may compute the
-// same selection twice; the results are identical, so last write
-// wins and both callers' values stay valid (selections are
-// immutable by contract). Over the cache limit, one arbitrary entry
-// of the shard makes room — random-replacement is crude but keeps
-// the hot path lock-cheap and bounds memory. Overwriting a key that
-// is already present never evicts: the store does not grow the
-// shard, so there is nothing to make room for (evicting anyway
-// would shrink the cache by one on every re-store at the limit).
-func (e *Evaluator) store(key string, sel *engine.ChunkedSelection, stamp *engine.EpochStamp) {
+// store records key → ent. An entry already cached under the very
+// same stamp lends ent the forms ent lacks, so concurrent callers
+// asking for different forms of one query build one two-form entry.
+// Concurrent evaluators may compute the same form twice; the results
+// are identical, so last write wins and both callers' values stay
+// valid (selections and bitmaps are immutable by contract). Over the
+// cache limit, one arbitrary entry of the shard makes room —
+// random-replacement is crude but keeps the hot path lock-cheap and
+// bounds memory. Overwriting a key that is already present never
+// evicts: the store does not grow the shard, so there is nothing to
+// make room for (evicting anyway would shrink the cache by one on
+// every re-store at the limit).
+func (e *Evaluator) store(key string, ent cachedSel) {
 	perShard := 0
 	if limit := e.limit.Load(); limit > 0 {
 		perShard = int((limit + cacheShards - 1) / cacheShards)
 	}
 	s := e.shard(key)
 	s.mu.Lock()
-	if perShard > 0 && len(s.m) >= perShard {
-		if _, exists := s.m[key]; !exists {
-			//lint:deterministic random-replacement eviction is deliberately arbitrary: cache contents affect reuse, never results
-			for k := range s.m {
-				delete(s.m, k)
-				break
-			}
+	old, exists := s.m[key]
+	if exists && old.stamp == ent.stamp {
+		if ent.cs == nil {
+			ent.cs = old.cs
+		}
+		if ent.bm == nil {
+			ent.bm = old.bm
 		}
 	}
-	s.m[key] = cachedSel{cs: sel, stamp: stamp}
+	if !exists && perShard > 0 && len(s.m) >= perShard {
+		//lint:deterministic random-replacement eviction is deliberately arbitrary: cache contents affect reuse, never results
+		for k := range s.m {
+			delete(s.m, k)
+			break
+		}
+	}
+	s.m[key] = ent
 	s.mu.Unlock()
-}
-
-// cachedPacked looks key up in the packed-selection cache. The
-// caller must check the entry's stamp against the table's before
-// serving it.
-func (e *Evaluator) cachedPacked(key string) (cachedBitmap, bool) {
-	s := &e.bmShards[maphash.String(cacheSeed, key)%cacheShards]
-	s.mu.RLock()
-	ent, ok := s.m[key]
-	s.mu.RUnlock()
-	return ent, ok
-}
-
-// storeBitmap records key → bm in the packed-selection cache, with
-// the same bounded random-replacement policy as the selection store.
-func (e *Evaluator) storeBitmap(key string, bm *engine.Bitmap, stamp *engine.EpochStamp) {
-	perShard := 0
-	if limit := e.limit.Load(); limit > 0 {
-		perShard = int((limit + cacheShards - 1) / cacheShards)
-	}
-	s := &e.bmShards[maphash.String(cacheSeed, key)%cacheShards]
-	s.mu.Lock()
-	if perShard > 0 && len(s.m) >= perShard {
-		if _, exists := s.m[key]; !exists {
-			//lint:deterministic random-replacement eviction is deliberately arbitrary: cache contents affect reuse, never results
-			for k := range s.m {
-				delete(s.m, k)
-				break
-			}
-		}
-	}
-	s.m[key] = cachedBitmap{bm: bm, stamp: stamp}
-	s.mu.Unlock()
-}
-
-// packedSelection returns the word-packed form of q's selection,
-// serving repeats from a per-query cache: HB-cuts evaluates each
-// candidate against O(n) partners per step, and without the cache
-// every pairwise operator call would re-pack the same bitmaps. The
-// caller decides whether packing pays (the representation knob and
-// density heuristic live in the pairwise operators); this only
-// memoizes the result of that decision, so cached and uncached runs
-// take identical code paths. Bitmaps inherit the table's chunk
-// layout — chunks with no selected rows are never allocated — and
-// are immutable by contract, like selections.
-func (e *Evaluator) packedSelection(q sdl.Query, cs *engine.ChunkedSelection) *engine.Bitmap {
-	if !e.caching.Load() {
-		return engine.NewBitmapChunked(cs)
-	}
-	key := q.Key()
-	cur := e.tab.Stamp()
-	if ent, ok := e.cachedPacked(key); ok {
-		if ent.stamp.Version() == cur.Version() {
-			return ent.bm
-		}
-		// Stale after mutation: cs is the query's current selection,
-		// so only the dirty chunks need re-packing — splice their
-		// fresh words into the cached clean ones.
-		if dirty, ok := cur.DirtyVs(ent.stamp); ok &&
-			ent.bm.NumRows() == ent.stamp.NumRows() && ent.bm.ChunkRows() == cur.ChunkRows() &&
-			cs.NumRows() == cur.NumRows() && cs.ChunkRows() == cur.ChunkRows() {
-			bm := engine.SpliceBitmap(ent.bm, engine.NewBitmapChunked(engine.RestrictChunked(cs, dirty)), dirty)
-			e.countDeltaRefresh()
-			e.storeBitmap(key, bm, cur)
-			return bm
-		}
-	}
-	bm := engine.NewBitmapChunked(cs)
-	e.storeBitmap(key, bm, cur)
-	return bm
-}
-
-// SelectBitmap returns R(Q) word-packed, the form the dense side of
-// the pairwise operators consumes. Cached forms are served in
-// cheapest-first order: the packed cache directly, then the chunked
-// selection cache (one packing pass). Only when neither holds the
-// query does it evaluate — and then the final predicate runs as a
-// fused filter→bitmap scan (engine.Filter*ChunkedBitmap) that writes
-// the bitmap words straight from the typed comparison loop, never
-// materializing the row-id selection it would otherwise build and
-// immediately discard. The returned bitmap must not be mutated.
-func (e *Evaluator) SelectBitmap(q sdl.Query) (*engine.Bitmap, error) {
-	key := q.Key()
-	caching := e.caching.Load()
-	cur := e.tab.Stamp()
-	if caching {
-		if ent, ok := e.cachedPacked(key); ok {
-			if ent.stamp.Version() == cur.Version() {
-				e.countCacheHit()
-				return ent.bm, nil
-			}
-			if bm, ok := e.refreshBitmap(q, ent, cur); ok {
-				e.countDeltaRefresh()
-				e.storeBitmap(key, bm, cur)
-				return bm, nil
-			}
-		}
-		if ent, ok := e.cached(key); ok {
-			if ent.stamp.Version() == cur.Version() {
-				e.countCacheHit()
-				bm := engine.NewBitmapChunked(ent.cs)
-				e.storeBitmap(key, bm, ent.stamp)
-				return bm, nil
-			}
-			if cs, ok := e.refreshChunked(q, ent, cur); ok {
-				e.countDeltaRefresh()
-				e.store(key, cs, cur)
-				bm := engine.NewBitmapChunked(cs)
-				e.storeBitmap(key, bm, cur)
-				return bm, nil
-			}
-		}
-	}
-	cs := e.allRows()
-	last := -1
-	cons := q.Constraints()
-	for i, c := range cons {
-		if !c.IsAny() {
-			last = i
-		}
-	}
-	if last < 0 {
-		// Unconstrained context: pack the identity selection.
-		bm := engine.NewBitmapChunked(cs)
-		e.countFullEval()
-		if caching {
-			e.storeBitmap(key, bm, cur)
-		}
-		return bm, nil
-	}
-	for _, c := range cons[:last] {
-		if c.IsAny() {
-			continue
-		}
-		var err error
-		cs, err = e.applyConstraint(cs, c)
-		if err != nil {
-			return nil, err
-		}
-	}
-	bm, err := e.applyConstraintBitmap(cs, cons[last])
-	if err != nil {
-		return nil, err
-	}
-	e.countFullEval()
-	if caching {
-		e.storeBitmap(key, bm, cur)
-	}
-	return bm, nil
-}
-
-// deltaDirty decides whether a stale cache entry qualifies for a
-// chunk-granular refresh against stamp cur: the stamps must be
-// chunk-comparable and the cached result must structurally match the
-// stamp it claims to be from and the current layout. Anything else —
-// a re-shard, a shrink, a foreign layout — returns nil and the
-// caller re-evaluates in full.
-func (e *Evaluator) deltaDirty(old *engine.EpochStamp, nRows, chunkRows int, cur *engine.EpochStamp) []bool {
-	if old == nil || nRows != old.NumRows() || chunkRows != cur.ChunkRows() {
-		return nil
-	}
-	dirty, ok := cur.DirtyVs(old)
-	if !ok {
-		return nil
-	}
-	return dirty
-}
-
-// refreshChunked brings a stale cached selection up to stamp cur by
-// running q's constraint chain over only the dirty chunks — the
-// partial identity's empty clean segments are skipped by every
-// filter kernel, so the work is proportional to the mutated rows —
-// and splicing the result into the cached clean segments. This is
-// sound because SDL constraints are per-row predicates: R(Q)
-// restricted to a chunk depends on that chunk's rows alone, so a
-// clean chunk's cached segment is still exact.
-func (e *Evaluator) refreshChunked(q sdl.Query, old cachedSel, cur *engine.EpochStamp) (*engine.ChunkedSelection, bool) {
-	dirty := e.deltaDirty(old.stamp, old.cs.NumRows(), old.cs.ChunkRows(), cur)
-	if dirty == nil {
-		return nil, false
-	}
-	cs := engine.PartialIdentity(cur.NumRows(), cur.ChunkRows(), dirty)
-	for _, c := range q.Constraints() {
-		if c.IsAny() {
-			continue
-		}
-		var err error
-		cs, err = e.applyConstraint(cs, c)
-		if err != nil {
-			return nil, false
-		}
-	}
-	return engine.SpliceChunked(old.cs, cs, dirty), true
-}
-
-// refreshBitmap is refreshChunked for the packed cache: the dirty
-// chunks re-evaluate with the final predicate fused into bitmap
-// construction, then splice word-slices with the cached clean
-// chunks.
-func (e *Evaluator) refreshBitmap(q sdl.Query, old cachedBitmap, cur *engine.EpochStamp) (*engine.Bitmap, bool) {
-	dirty := e.deltaDirty(old.stamp, old.bm.NumRows(), old.bm.ChunkRows(), cur)
-	if dirty == nil {
-		return nil, false
-	}
-	cs := engine.PartialIdentity(cur.NumRows(), cur.ChunkRows(), dirty)
-	cons := q.Constraints()
-	last := -1
-	for i, c := range cons {
-		if !c.IsAny() {
-			last = i
-		}
-	}
-	var fresh *engine.Bitmap
-	if last < 0 {
-		fresh = engine.NewBitmapChunked(cs)
-	} else {
-		for _, c := range cons[:last] {
-			if c.IsAny() {
-				continue
-			}
-			var err error
-			cs, err = e.applyConstraint(cs, c)
-			if err != nil {
-				return nil, false
-			}
-		}
-		var err error
-		fresh, err = e.applyConstraintBitmap(cs, cons[last])
-		if err != nil {
-			return nil, false
-		}
-	}
-	return engine.SpliceBitmap(old.bm, fresh, dirty), true
 }
 
 // Select returns the sorted row selection R(Q) as a flat vector —
@@ -535,40 +273,148 @@ func (e *Evaluator) Select(q sdl.Query) (engine.Selection, error) {
 // chunks. Results are cached under the query's canonical key. The
 // returned selection must not be mutated.
 func (e *Evaluator) SelectChunked(q sdl.Query) (*engine.ChunkedSelection, error) {
+	ent, err := e.lookup(q, false)
+	return ent.cs, err
+}
+
+// SelectBitmap returns R(Q) word-packed, the form the dense side of
+// the pairwise operators consumes. A cached bitmap is served
+// directly; a cached row-id selection is packed once and the bitmap
+// remembered beside it. Only when the cache holds neither does it
+// evaluate — and then the final predicate runs as a fused
+// filter→bitmap scan (engine.Filter*ChunkedBitmap) that writes the
+// bitmap words straight from the typed comparison loop, never
+// materializing the row-id selection it would otherwise build and
+// immediately discard. Bitmaps inherit the table's chunk layout —
+// chunks with no selected rows are never allocated. The returned
+// bitmap must not be mutated.
+func (e *Evaluator) SelectBitmap(q sdl.Query) (*engine.Bitmap, error) {
+	ent, err := e.lookup(q, true)
+	return ent.bm, err
+}
+
+// lookup returns q's cache entry holding the requested form (the
+// bitmap when packed, the row ids otherwise), evaluating on a miss.
+// An entry that can serve the form — it holds it, or holds the row
+// ids a bitmap packs from — is served at the current version, or
+// refreshed over the dirty chunks when stale. An entry holding only
+// a bitmap cannot give row ids back; a row-id request re-evaluates,
+// replacing it (or joining it, when the stamps are the same).
+func (e *Evaluator) lookup(q sdl.Query, packed bool) (cachedSel, error) {
 	key := q.Key()
-	// One snapshot per evaluation: a concurrent SetCaching flip
-	// cannot make lookup and store disagree within one call.
-	caching := e.caching.Load()
 	cur := e.tab.Stamp()
-	if caching {
-		if ent, ok := e.cached(key); ok {
-			if ent.stamp.Version() == cur.Version() {
-				e.countCacheHit()
-				return ent.cs, nil
+	if ent, ok := e.cached(key); ok && (packed || ent.cs != nil) {
+		if ent.stamp.Version() == cur.Version() {
+			e.countCacheHit()
+		} else {
+			ent, ok = e.refresh(q, key, ent, cur)
+		}
+		if ok {
+			if packed && ent.bm == nil {
+				ent.bm = engine.NewBitmapChunked(ent.cs)
+				e.store(key, ent)
 			}
-			if cs, ok := e.refreshChunked(q, ent, cur); ok {
-				e.countDeltaRefresh()
-				e.store(key, cs, cur)
-				return cs, nil
-			}
+			return ent, nil
 		}
 	}
-	cs := e.allRows()
-	for _, c := range q.Constraints() {
-		if c.IsAny() {
-			continue
-		}
-		var err error
-		cs, err = e.applyConstraint(cs, c)
-		if err != nil {
-			return nil, err
-		}
+	cs, bm, err := e.run(q, e.allRows(), packed)
+	if err != nil {
+		return cachedSel{}, err
+	}
+	if packed && bm == nil {
+		bm = engine.NewBitmapChunked(cs)
 	}
 	e.countFullEval()
-	if caching {
-		e.store(key, cs, cur)
+	ent := cachedSel{cs: cs, bm: bm, stamp: cur}
+	e.store(key, ent)
+	return ent, nil
+}
+
+// dirtyChunks decides whether a stale cache entry qualifies for a
+// chunk-granular refresh against stamp cur: the stamps must be
+// chunk-comparable and every form the entry holds must structurally
+// match the stamp it claims to be from and the current layout.
+// Anything else — a re-shard, a shrink, a foreign layout — returns
+// nil and the caller re-evaluates in full.
+func dirtyChunks(old cachedSel, cur *engine.EpochStamp) []bool {
+	if old.cs != nil && (old.cs.NumRows() != old.stamp.NumRows() || old.cs.ChunkRows() != cur.ChunkRows()) {
+		return nil
 	}
-	return cs, nil
+	if old.bm != nil && (old.bm.NumRows() != old.stamp.NumRows() || old.bm.ChunkRows() != cur.ChunkRows()) {
+		return nil
+	}
+	dirty, ok := cur.DirtyVs(old.stamp)
+	if !ok {
+		return nil
+	}
+	return dirty
+}
+
+// refresh brings a stale entry up to stamp cur by running q's
+// constraint chain over only the dirty chunks — the partial
+// identity's empty clean segments are skipped by every filter
+// kernel, so the work is proportional to the mutated rows — and
+// splicing the result into every form the entry holds. A bitmap-only
+// entry re-evaluates through the fused chain. This is sound because
+// SDL constraints are per-row predicates: R(Q) restricted to a chunk
+// depends on that chunk's rows alone, so a clean chunk's cached
+// segment and words are still exact.
+func (e *Evaluator) refresh(q sdl.Query, key string, old cachedSel, cur *engine.EpochStamp) (cachedSel, bool) {
+	dirty := dirtyChunks(old, cur)
+	if dirty == nil {
+		return cachedSel{}, false
+	}
+	cs, bm, err := e.run(q, engine.PartialIdentity(cur.NumRows(), cur.ChunkRows(), dirty), old.cs == nil)
+	if err != nil {
+		return cachedSel{}, false
+	}
+	return e.splice(key, old, cs, bm, dirty, cur), true
+}
+
+// splice merges a dirty-chunk re-evaluation — its row ids cs, or its
+// bitmap bm alone — into every form old holds, packing the dirty
+// chunks' words from cs when the entry holds a bitmap but the
+// re-evaluation produced row ids, and stores the result at cur.
+func (e *Evaluator) splice(key string, old cachedSel, cs *engine.ChunkedSelection, bm *engine.Bitmap, dirty []bool, cur *engine.EpochStamp) cachedSel {
+	ent := cachedSel{stamp: cur}
+	if old.cs != nil {
+		ent.cs = engine.SpliceChunked(old.cs, cs, dirty)
+	}
+	if old.bm != nil {
+		if bm == nil {
+			bm = engine.NewBitmapChunked(cs)
+		}
+		ent.bm = engine.SpliceBitmap(old.bm, bm, dirty)
+	}
+	e.countDeltaRefresh()
+	e.store(key, ent)
+	return ent
+}
+
+// run evaluates q's constraint chain starting from the selection
+// from: the all-rows identity for a full evaluation, a partial
+// identity over the dirty chunks for a refresh. With fuse set, the
+// last predicate writes its bitmap directly and the row ids it would
+// have produced are never materialized (cs is nil). An unconstrained
+// query returns from itself and no bitmap.
+func (e *Evaluator) run(q sdl.Query, from *engine.ChunkedSelection, fuse bool) (cs *engine.ChunkedSelection, bm *engine.Bitmap, err error) {
+	cons := q.Constraints()
+	last := -1
+	for i, c := range cons {
+		if !c.IsAny() {
+			last = i
+		}
+	}
+	if last < 0 {
+		return from, nil, nil
+	}
+	cs = from
+	for _, c := range cons[:last] {
+		if cs, _, err = e.applyConstraint(cs, c, false); err != nil {
+			return nil, nil, err
+		}
+	}
+	return e.applyConstraint(cs, cons[last], fuse)
 }
 
 // Count returns |R(Q)|.
@@ -580,18 +426,6 @@ func (e *Evaluator) Count(q sdl.Query) (int, error) {
 	return cs.Len(), nil
 }
 
-// Narrow filters a parent query's selection by one additional (or
-// refined) constraint and caches the result under the child query's
-// key. child must equal parent.WithConstraint(c). It is the flat
-// compatibility form of NarrowChunked.
-func (e *Evaluator) Narrow(parentSel engine.Selection, child sdl.Query, c sdl.Constraint) (engine.Selection, error) {
-	cs, err := e.NarrowChunked(engine.ChunkSelection(parentSel, e.tab.NumRows(), e.tab.ChunkRows()), child, c)
-	if err != nil {
-		return nil, err
-	}
-	return cs.Flat(), nil
-}
-
 // NarrowChunked filters a parent query's chunked selection by one
 // additional (or refined) constraint and caches the result under the
 // child query's key. It is the incremental path CUT takes: the
@@ -600,39 +434,31 @@ func (e *Evaluator) Narrow(parentSel engine.Selection, child sdl.Query, c sdl.Co
 // has rows, since empty parent segments are skipped outright.
 func (e *Evaluator) NarrowChunked(parentCS *engine.ChunkedSelection, child sdl.Query, c sdl.Constraint) (*engine.ChunkedSelection, error) {
 	key := child.Key()
-	caching := e.caching.Load()
 	cur := e.tab.Stamp()
-	if caching {
-		if ent, ok := e.cached(key); ok {
-			if ent.stamp.Version() == cur.Version() {
-				e.countCacheHit()
-				return ent.cs, nil
+	if ent, ok := e.cached(key); ok && ent.cs != nil {
+		if ent.stamp.Version() == cur.Version() {
+			e.countCacheHit()
+			return ent.cs, nil
+		}
+		// Stale after mutation: parentCS is the child's current
+		// parent selection, so re-filtering just its dirty-chunk
+		// segments and splicing reproduces the child exactly —
+		// cheaper than refresh's full constraint chain.
+		if dirty := dirtyChunks(ent, cur); dirty != nil &&
+			parentCS.NumRows() == cur.NumRows() && parentCS.ChunkRows() == cur.ChunkRows() {
+			fresh, _, err := e.applyConstraint(engine.RestrictChunked(parentCS, dirty), c, false)
+			if err != nil {
+				return nil, err
 			}
-			// Stale after mutation: parentCS is the child's current
-			// parent selection, so re-filtering just its dirty-chunk
-			// segments and splicing reproduces the child exactly —
-			// cheaper than refreshChunked's full constraint chain.
-			if dirty := e.deltaDirty(ent.stamp, ent.cs.NumRows(), ent.cs.ChunkRows(), cur); dirty != nil &&
-				parentCS.NumRows() == cur.NumRows() && parentCS.ChunkRows() == cur.ChunkRows() {
-				fresh, err := e.applyConstraint(engine.RestrictChunked(parentCS, dirty), c)
-				if err != nil {
-					return nil, err
-				}
-				cs := engine.SpliceChunked(ent.cs, fresh, dirty)
-				e.countDeltaRefresh()
-				e.store(key, cs, cur)
-				return cs, nil
-			}
+			return e.splice(key, ent, fresh, nil, dirty, cur).cs, nil
 		}
 	}
-	cs, err := e.applyConstraint(parentCS, c)
+	cs, _, err := e.applyConstraint(parentCS, c, false)
 	if err != nil {
 		return nil, err
 	}
 	e.countNarrowEval()
-	if caching {
-		e.store(key, cs, cur)
-	}
+	e.store(key, cachedSel{cs: cs, stamp: cur})
 	return cs, nil
 }
 
@@ -665,139 +491,87 @@ func (e *Evaluator) resolveConstraint(cs *engine.ChunkedSelection, attr string) 
 	return cs, col, sum, nil
 }
 
+// literals converts a set constraint's values to one column type.
+func literals[T any](vals []engine.Value, as func(engine.Value) T) []T {
+	out := make([]T, len(vals))
+	for i, v := range vals {
+		out[i] = as(v)
+	}
+	return out
+}
+
 // applyConstraint dispatches one predicate to the engine's typed
 // chunked column filters, handing every predicate the column's zone
 // map so provably disjoint chunks are skipped and provably covered
 // ones pass through untouched — numeric bounds for ranges, nominal
-// presence sets for string/bool predicates.
-func (e *Evaluator) applyConstraint(cs *engine.ChunkedSelection, c sdl.Constraint) (*engine.ChunkedSelection, error) {
+// presence sets for string/bool predicates. The SDL literals are
+// converted once; fuse picks the output form: the narrowed row ids,
+// or the bitmap written straight from the same kernel
+// (Filter*ChunkedBitmap). A KindAny constraint returns cs unchanged.
+func (e *Evaluator) applyConstraint(cs *engine.ChunkedSelection, c sdl.Constraint, fuse bool) (*engine.ChunkedSelection, *engine.Bitmap, error) {
 	if c.IsAny() {
-		return cs, nil
+		return cs, nil, nil
 	}
 	cs, col, sum, err := e.resolveConstraint(cs, c.Attr)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	r := c.Range
 	switch col := col.(type) {
 	case *engine.StringColumn:
 		switch c.Kind {
 		case sdl.KindSet:
-			vals := make([]string, len(c.Set))
-			for i, v := range c.Set {
-				vals[i] = v.AsString()
+			vals := literals(c.Set, engine.Value.AsString)
+			if fuse {
+				return nil, engine.FilterStringSetChunkedBitmap(col, cs, vals, sum), nil
 			}
-			return engine.FilterStringSetChunked(col, cs, vals, sum), nil
+			return engine.FilterStringSetChunked(col, cs, vals, sum), nil, nil
 		case sdl.KindRange:
-			return engine.FilterStringRangeChunked(col, cs,
-				c.Range.Lo.AsString(), c.Range.Hi.AsString(),
-				c.Range.LoIncl, c.Range.HiIncl, sum), nil
+			lo, hi := r.Lo.AsString(), r.Hi.AsString()
+			if fuse {
+				return nil, engine.FilterStringRangeChunkedBitmap(col, cs, lo, hi, r.LoIncl, r.HiIncl, sum), nil
+			}
+			return engine.FilterStringRangeChunked(col, cs, lo, hi, r.LoIncl, r.HiIncl, sum), nil, nil
 		}
 	case *engine.BoolColumn:
-		if c.Kind == sdl.KindSet {
-			vals := make([]bool, len(c.Set))
-			for i, v := range c.Set {
-				vals[i] = v.AsBool()
-			}
-			return engine.FilterBoolSetChunked(col, cs, vals, sum), nil
+		if c.Kind != sdl.KindSet {
+			return nil, nil, fmt.Errorf("seg: %s: range constraint on bool column", c.Attr)
 		}
-		return nil, fmt.Errorf("seg: %s: range constraint on bool column", c.Attr)
+		vals := literals(c.Set, engine.Value.AsBool)
+		if fuse {
+			return nil, engine.FilterBoolSetChunkedBitmap(col, cs, vals, sum), nil
+		}
+		return engine.FilterBoolSetChunked(col, cs, vals, sum), nil, nil
 	case *engine.FloatColumn:
 		switch c.Kind {
 		case sdl.KindRange:
-			return engine.FilterFloatRangeChunked(col, cs, engine.FloatRange{
-				Lo: c.Range.Lo.AsFloat(), Hi: c.Range.Hi.AsFloat(),
-				LoIncl: c.Range.LoIncl, HiIncl: c.Range.HiIncl,
-			}, sum), nil
-		case sdl.KindSet:
-			vals := make([]float64, len(c.Set))
-			for i, v := range c.Set {
-				vals[i] = v.AsFloat()
+			fr := engine.FloatRange{Lo: r.Lo.AsFloat(), Hi: r.Hi.AsFloat(), LoIncl: r.LoIncl, HiIncl: r.HiIncl}
+			if fuse {
+				return nil, engine.FilterFloatRangeChunkedBitmap(col, cs, fr, sum), nil
 			}
-			return engine.FilterFloatSetChunked(col, cs, vals, sum), nil
+			return engine.FilterFloatRangeChunked(col, cs, fr, sum), nil, nil
+		case sdl.KindSet:
+			vals := literals(c.Set, engine.Value.AsFloat)
+			if fuse {
+				return nil, engine.FilterFloatSetChunkedBitmap(col, cs, vals, sum), nil
+			}
+			return engine.FilterFloatSetChunked(col, cs, vals, sum), nil, nil
 		}
 	case engine.IntValued: // IntColumn and DateColumn
 		switch c.Kind {
 		case sdl.KindRange:
-			return engine.FilterIntRangeChunked(col, cs, engine.IntRange{
-				Lo: c.Range.Lo.AsInt(), Hi: c.Range.Hi.AsInt(),
-				LoIncl: c.Range.LoIncl, HiIncl: c.Range.HiIncl,
-			}, sum), nil
-		case sdl.KindSet:
-			vals := make([]int64, len(c.Set))
-			for i, v := range c.Set {
-				vals[i] = v.AsInt()
+			ir := engine.IntRange{Lo: r.Lo.AsInt(), Hi: r.Hi.AsInt(), LoIncl: r.LoIncl, HiIncl: r.HiIncl}
+			if fuse {
+				return nil, engine.FilterIntRangeChunkedBitmap(col, cs, ir, sum), nil
 			}
-			return engine.FilterIntSetChunked(col, cs, vals, sum), nil
+			return engine.FilterIntRangeChunked(col, cs, ir, sum), nil, nil
+		case sdl.KindSet:
+			vals := literals(c.Set, engine.Value.AsInt)
+			if fuse {
+				return nil, engine.FilterIntSetChunkedBitmap(col, cs, vals, sum), nil
+			}
+			return engine.FilterIntSetChunked(col, cs, vals, sum), nil, nil
 		}
 	}
-	return nil, fmt.Errorf("seg: %s: unsupported %v constraint on %v column", c.Attr, c.Kind, col.Kind())
-}
-
-// applyConstraintBitmap is applyConstraint fused into bitmap
-// construction: the same verdicts and typed kernels, but the
-// predicate loop writes the word-packed bitmap directly instead of
-// materializing a selection that would only be packed and dropped.
-// The dispatch must mirror applyConstraint case for case — the two
-// are the vector and bitmap forms of one evaluation.
-func (e *Evaluator) applyConstraintBitmap(cs *engine.ChunkedSelection, c sdl.Constraint) (*engine.Bitmap, error) {
-	if c.IsAny() {
-		return engine.NewBitmapChunked(cs), nil
-	}
-	cs, col, sum, err := e.resolveConstraint(cs, c.Attr)
-	if err != nil {
-		return nil, err
-	}
-	switch col := col.(type) {
-	case *engine.StringColumn:
-		switch c.Kind {
-		case sdl.KindSet:
-			vals := make([]string, len(c.Set))
-			for i, v := range c.Set {
-				vals[i] = v.AsString()
-			}
-			return engine.FilterStringSetChunkedBitmap(col, cs, vals, sum), nil
-		case sdl.KindRange:
-			return engine.FilterStringRangeChunkedBitmap(col, cs,
-				c.Range.Lo.AsString(), c.Range.Hi.AsString(),
-				c.Range.LoIncl, c.Range.HiIncl, sum), nil
-		}
-	case *engine.BoolColumn:
-		if c.Kind == sdl.KindSet {
-			vals := make([]bool, len(c.Set))
-			for i, v := range c.Set {
-				vals[i] = v.AsBool()
-			}
-			return engine.FilterBoolSetChunkedBitmap(col, cs, vals, sum), nil
-		}
-		return nil, fmt.Errorf("seg: %s: range constraint on bool column", c.Attr)
-	case *engine.FloatColumn:
-		switch c.Kind {
-		case sdl.KindRange:
-			return engine.FilterFloatRangeChunkedBitmap(col, cs, engine.FloatRange{
-				Lo: c.Range.Lo.AsFloat(), Hi: c.Range.Hi.AsFloat(),
-				LoIncl: c.Range.LoIncl, HiIncl: c.Range.HiIncl,
-			}, sum), nil
-		case sdl.KindSet:
-			vals := make([]float64, len(c.Set))
-			for i, v := range c.Set {
-				vals[i] = v.AsFloat()
-			}
-			return engine.FilterFloatSetChunkedBitmap(col, cs, vals, sum), nil
-		}
-	case engine.IntValued: // IntColumn and DateColumn
-		switch c.Kind {
-		case sdl.KindRange:
-			return engine.FilterIntRangeChunkedBitmap(col, cs, engine.IntRange{
-				Lo: c.Range.Lo.AsInt(), Hi: c.Range.Hi.AsInt(),
-				LoIncl: c.Range.LoIncl, HiIncl: c.Range.HiIncl,
-			}, sum), nil
-		case sdl.KindSet:
-			vals := make([]int64, len(c.Set))
-			for i, v := range c.Set {
-				vals[i] = v.AsInt()
-			}
-			return engine.FilterIntSetChunkedBitmap(col, cs, vals, sum), nil
-		}
-	}
-	return nil, fmt.Errorf("seg: %s: unsupported %v constraint on %v column", c.Attr, c.Kind, col.Kind())
+	return nil, nil, fmt.Errorf("seg: %s: unsupported %v constraint on %v column", c.Attr, c.Kind, col.Kind())
 }

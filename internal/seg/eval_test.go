@@ -47,10 +47,12 @@ func TestSelectCaches(t *testing.T) {
 	}
 }
 
-func TestSetCachingOff(t *testing.T) {
+// TestSelectCountsLookups pins that every lookup is accounted for —
+// a miss as one full evaluation, a repeat as one cache hit — and
+// that both forms of one query share a single cache entry.
+func TestSelectCountsLookups(t *testing.T) {
 	_, ev := figure2Table(t)
 	m := liveMetrics(ev)
-	ev.SetCaching(false)
 	q := sdl.MustQuery(sdl.SetC("type", engine.String_("jacht")))
 	if _, err := ev.Select(q); err != nil {
 		t.Fatal(err)
@@ -58,11 +60,14 @@ func TestSetCachingOff(t *testing.T) {
 	if _, err := ev.Select(q); err != nil {
 		t.Fatal(err)
 	}
-	if m.CacheHits.Value() != 0 || m.FullEvals.Value() != 2 {
-		t.Fatalf("caching off but hits=%d full evals=%d", m.CacheHits.Value(), m.FullEvals.Value())
+	if _, err := ev.SelectBitmap(q); err != nil {
+		t.Fatal(err)
 	}
-	if ev.CacheLen() != 0 {
-		t.Fatal("cache populated while off")
+	if m.FullEvals.Value() != 1 || m.CacheHits.Value() != 2 {
+		t.Fatalf("three lookups: full evals=%d hits=%d, want 1 and 2", m.FullEvals.Value(), m.CacheHits.Value())
+	}
+	if n := ev.CacheLen(); n != 1 {
+		t.Fatalf("one query in two forms holds %d cache entries, want 1", n)
 	}
 }
 
@@ -70,16 +75,17 @@ func TestNarrowMatchesFullEval(t *testing.T) {
 	tab, ev := figure2Table(t)
 	_ = tab
 	parent := sdl.MustQuery(sdl.SetC("type", engine.String_("fluit")))
-	parentSel, err := ev.Select(parent)
+	parentCS, err := ev.SelectChunked(parent)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := sdl.ClosedRange("tonnage", engine.Int(0), engine.Int(2000))
 	child := parent.WithConstraint(c)
-	narrowed, err := ev.Narrow(parentSel, child, c)
+	narrowedCS, err := ev.NarrowChunked(parentCS, child, c)
 	if err != nil {
 		t.Fatal(err)
 	}
+	narrowed := narrowedCS.Flat()
 	ev2 := NewEvaluator(tab)
 	full, err := ev2.Select(child)
 	if err != nil {
@@ -235,14 +241,15 @@ func TestStoreAtLimitKeepsExistingKey(t *testing.T) {
 			keyB = k
 		}
 	}
-	ev.store(keyA, sel, tab.Stamp())
-	ev.store(keyB, sel, tab.Stamp())
+	ent := cachedSel{cs: sel, stamp: tab.Stamp()}
+	ev.store(keyA, ent)
+	ev.store(keyB, ent)
 	if len(shard.m) != 2 {
 		t.Fatalf("shard holds %d entries after filling, want 2", len(shard.m))
 	}
 	// Re-store an existing key ten times: the shard must keep both.
 	for i := 0; i < 10; i++ {
-		ev.store(keyA, sel, tab.Stamp())
+		ev.store(keyA, ent)
 	}
 	if _, ok := ev.cached(keyB); !ok {
 		t.Fatal("re-storing an existing key evicted an unrelated entry")
@@ -258,7 +265,7 @@ func TestStoreAtLimitKeepsExistingKey(t *testing.T) {
 			keyC = k
 		}
 	}
-	ev.store(keyC, sel, tab.Stamp())
+	ev.store(keyC, ent)
 	if len(shard.m) != 2 {
 		t.Fatalf("shard holds %d entries after eviction, want 2", len(shard.m))
 	}
@@ -267,28 +274,36 @@ func TestStoreAtLimitKeepsExistingKey(t *testing.T) {
 	}
 }
 
-// TestPackedSelectionMemoized pins the bitmap cache: repeated packs
-// of the same query return the identical (immutable) bitmap when
-// caching is on, and fresh ones when it is off.
+// TestPackedSelectionMemoized pins pack-and-remember: a query cached
+// as row ids is packed by its first SelectBitmap, and every repeat
+// serves that identical (immutable) bitmap from the same entry —
+// three lookups, one evaluation.
 func TestPackedSelectionMemoized(t *testing.T) {
 	tab, ev := figure2Table(t)
+	m := liveMetrics(ev)
 	q := sdl.MustQuery(sdl.SetC("type", engine.String_("fluit")))
 	sel, err := ev.SelectChunked(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := ev.packedSelection(q, sel)
-	b := ev.packedSelection(q, sel)
+	a, err := ev.SelectBitmap(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ev.SelectBitmap(q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a != b {
-		t.Fatal("caching on: repeated pack returned a fresh bitmap")
+		t.Fatal("repeated SelectBitmap returned a fresh bitmap")
 	}
 	if a.Count() != sel.Len() || a.NumRows() != tab.NumRows() {
 		t.Fatalf("packed bitmap shape %d/%d, want %d/%d", a.Count(), a.NumRows(), sel.Len(), tab.NumRows())
 	}
-	ev.SetCaching(false)
-	c := ev.packedSelection(q, sel)
-	d := ev.packedSelection(q, sel)
-	if c == a || c == d {
-		t.Fatal("caching off: packs must not be shared")
+	if lookups := m.FullEvals.Value() + m.CacheHits.Value(); m.FullEvals.Value() != 1 || lookups != 3 {
+		t.Fatalf("full evals=%d lookups=%d, want 1 and 3", m.FullEvals.Value(), lookups)
+	}
+	if ent, ok := ev.cached(q.Key()); !ok || ent.cs != sel || ent.bm != a {
+		t.Fatal("the entry does not hold both forms")
 	}
 }

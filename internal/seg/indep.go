@@ -11,55 +11,15 @@ import (
 	"charles/internal/stats"
 )
 
-// SelectionRep selects the physical representation of segment
-// selections inside the pairwise operators (PRODUCT, CellCounts,
-// INDEP). Section 5.1 names segment-pair evaluation as the vertical
-// bottleneck: every INDEP costs a full |S1|×|S2| contingency table,
-// one intersection count per cell. Dense selections count faster as
-// word-packed bitmaps (AND + popcount); sparse ones stay cheaper as
-// sorted row-id vectors.
-type SelectionRep uint8
-
-// Selection representations.
-const (
-	// RepAuto picks per selection: bitmap when the extent covers at
-	// least 1/64 of the table (engine.DenseEnough), row-id vector
-	// otherwise. Mixed cells probe the sparse vector against the
-	// dense bitmap.
-	RepAuto SelectionRep = iota
-	// RepVector forces sorted row-id vectors everywhere (the
-	// pre-bitmap behavior, and the ablation baseline).
-	RepVector
-	// RepBitmap forces word-packed bitmaps everywhere.
-	RepBitmap
-)
-
-// String names the representation for benchmarks and logs.
-func (r SelectionRep) String() string {
-	switch r {
-	case RepAuto:
-		return "auto"
-	case RepVector:
-		return "vector"
-	case RepBitmap:
-		return "bitmap"
-	default:
-		return fmt.Sprintf("rep(%d)", uint8(r))
-	}
-}
-
-// PairOptions parameterizes the pairwise segmentation operators.
-// The zero value — all CPUs, automatic representation, no memo — is
-// the right default for direct callers; the advisor core threads
-// Config.Workers, Config.Selection and a per-advise memo through
-// instead.
+// PairOptions parameterizes the pairwise segmentation operators
+// (PRODUCT, CellCounts, INDEP). The zero value — all CPUs, no memo —
+// is the right default for direct callers; the advisor core threads
+// Config.Workers and a per-advise memo through instead.
 type PairOptions struct {
 	// Workers bounds the fan-out of the cell loop and the per-query
 	// selection gather. Values below 1 mean one worker per available
 	// CPU; 1 keeps everything on the calling goroutine.
 	Workers int
-	// Rep selects the selection representation.
-	Rep SelectionRep
 	// Memo, when non-nil, caches built pair sides — one segmentation's
 	// gathered selections plus their packed bitmaps — across operator
 	// calls. HB-cuts evaluates every candidate against O(n) partners
@@ -109,41 +69,43 @@ func (m *PairMemo) put(key string, s *pairSide) {
 	m.mu.Unlock()
 }
 
-// pairSide holds one segmentation's selections, each in exactly the
-// representation the options chose for it: segment i is either
-// bitmap-packed (bms[i] non-nil) or a flat row-id vector (sels[i]
-// non-nil), never materialized as both.
+// pairSide holds one segmentation's selections, each in the
+// representation its density calls for. Section 5.1 names
+// segment-pair evaluation as the vertical bottleneck: every INDEP
+// costs a full |S1|×|S2| contingency table, one intersection count
+// per cell. A segment covering at least 1/64 of the table
+// (engine.DenseEnough) is bitmap-packed (bms[i] non-nil) and counts
+// by word-wise AND + popcount; a sparser one stays a flat row-id
+// vector (sels[i] non-nil), never materialized as both.
 type pairSide struct {
 	sels []engine.Selection
 	bms  []*engine.Bitmap
 }
 
 // buildSide gathers a segmentation's selections across the worker
-// pool, each in exactly the representation the options choose for
-// it; the cell loop then reuses them |other| times each. Segment
-// counts are already recorded on the segmentation, so the density
-// decision needs no evaluation — a segment destined for the bitmap
-// representation is fetched through SelectBitmap, whose cache-miss
-// path fuses the final predicate scan into bitmap construction and
-// never materializes the row-id selection. The flat row-id view only
-// materializes for segments that stay vectors: the cell loop never
-// reads the vector side of a bitmap-packed segment, so flattening it
-// would be a pure O(|sel|) copy wasted. With a memo in the options
-// the assembled side is shared across every operator call of the
-// advise that mentions the same segmentation. Task errors are rare
-// but cancellation is not, and it must surface — or a half-built
-// side would be memoized as complete.
+// pool, each in the representation its density calls for; the cell
+// loop then reuses them |other| times each. Segment counts are
+// already recorded on the segmentation, so the density decision
+// needs no evaluation — a dense segment is fetched through
+// SelectBitmap, whose cache-miss path fuses the final predicate scan
+// into bitmap construction and never materializes the row-id
+// selection. The flat row-id view only materializes for segments
+// that stay vectors: the cell loop never reads the vector side of a
+// bitmap-packed segment, so flattening it would be a pure O(|sel|)
+// copy wasted. With a memo in the options the assembled side is
+// shared across every operator call of the advise that mentions the
+// same segmentation. Task errors are rare but cancellation is not,
+// and it must surface — or a half-built side would be memoized as
+// complete.
 func buildSide(ev *Evaluator, s *Segmentation, opt PairOptions) (*pairSide, error) {
 	var memoKey string
 	if opt.Memo != nil {
-		// The representation knob changes which segments get packed,
-		// so sides built under different reps never alias. The table
-		// fingerprint keys out sides built before a mutation: a memo
-		// can outlive one advise (a Stream holds its across Next
-		// calls), and a stale side would silently miscount cells.
-		// The fingerprint is cached per table version, so this stays
-		// a single concatenation on the warm path.
-		memoKey = ev.Table().Fingerprint() + "\x00" + opt.Rep.String() + "\x00" + s.Key()
+		// The table fingerprint keys out sides built before a
+		// mutation: a memo can outlive one advise (a Stream holds its
+		// across Next calls), and a stale side would silently
+		// miscount cells. The fingerprint is cached per table version,
+		// so this stays a single concatenation on the warm path.
+		memoKey = ev.Table().Fingerprint() + "\x00" + s.Key()
 		if side, ok := opt.Memo.get(memoKey); ok {
 			ev.countPairMemoHit()
 			return side, nil
@@ -159,27 +121,22 @@ func buildSide(ev *Evaluator, s *Segmentation, opt PairOptions) (*pairSide, erro
 	// falls back to evaluating before deciding the representation.
 	countsKnown := len(s.Counts) == n
 	err := par.ForEachCtx(opt.Ctx, opt.Workers, n, func(i int) error {
-		wantBitmap := opt.Rep == RepBitmap
-		if opt.Rep == RepAuto && countsKnown {
-			wantBitmap = engine.DenseEnough(s.Counts[i], nRows)
-		}
-		if wantBitmap {
-			bm, err := ev.SelectBitmap(s.Queries[i])
+		q := s.Queries[i]
+		if !countsKnown || !engine.DenseEnough(s.Counts[i], nRows) {
+			cs, err := ev.SelectChunked(q)
 			if err != nil {
 				return err
 			}
-			bms[i] = bm
-			return nil
+			if countsKnown || !engine.DenseEnough(cs.Len(), nRows) {
+				sels[i] = cs.Flat()
+				return nil
+			}
 		}
-		cs, err := ev.SelectChunked(s.Queries[i])
+		bm, err := ev.SelectBitmap(q)
 		if err != nil {
 			return err
 		}
-		if opt.Rep == RepAuto && !countsKnown && engine.DenseEnough(cs.Len(), nRows) {
-			bms[i] = ev.packedSelection(s.Queries[i], cs)
-		} else {
-			sels[i] = cs.Flat()
-		}
+		bms[i] = bm
 		return nil
 	})
 	if err != nil {
@@ -193,8 +150,8 @@ func buildSide(ev *Evaluator, s *Segmentation, opt PairOptions) (*pairSide, erro
 }
 
 // cellCount returns |R(Q1i) ∩ R(Q2j)| using the fastest path the
-// chosen representations allow. All three paths return identical
-// counts, so the representation knob never changes advisor output.
+// two sides' representations allow. All four paths return identical
+// counts, so the density rule never changes advisor output.
 func cellCount(a *pairSide, i int, b *pairSide, j int) int {
 	switch {
 	case a.bms[i] != nil && b.bms[j] != nil:
@@ -209,7 +166,7 @@ func cellCount(a *pairSide, i int, b *pairSide, j int) int {
 }
 
 // Product implements the SDL product S1 × S2 (Definition 8) with the
-// default options (all-CPU fan-out, automatic representation).
+// default options (all-CPU fan-out, no memo).
 func Product(ev *Evaluator, s1, s2 *Segmentation) (*Segmentation, error) {
 	return ProductOpt(ev, s1, s2, PairOptions{})
 }
@@ -282,7 +239,7 @@ func ProductOpt(ev *Evaluator, s1, s2 *Segmentation, opt PairOptions) (*Segmenta
 }
 
 // CellCounts returns the |S1| × |S2| joint contingency table with
-// the default options (all-CPU fan-out, automatic representation).
+// the default options (all-CPU fan-out, no memo).
 func CellCounts(ev *Evaluator, s1, s2 *Segmentation) ([][]int, error) {
 	return CellCountsOpt(ev, s1, s2, PairOptions{})
 }

@@ -12,7 +12,7 @@ import (
 // pairFixture builds two multi-segment segmentations over a 4096-row
 // table plus a hand-built third whose segments straddle the bitmap
 // density crossover: one dense majority segment and two sparse tail
-// segments, so RepAuto exercises the mixed bitmap×vector cell path.
+// segments, so the density rule builds a mixed bitmap×vector side.
 func pairFixture(t testing.TB) (*Evaluator, *Segmentation, *Segmentation, *Segmentation) {
 	const n = 4096
 	xs := make([]int64, n)
@@ -63,21 +63,150 @@ func pairFixture(t testing.TB) (*Evaluator, *Segmentation, *Segmentation, *Segme
 	return ev, s1, s2, s3
 }
 
-// pairGrid is the worker × representation sweep every equivalence
-// test runs over.
+// pairGrid is the worker sweep every equivalence test runs over.
 func pairGrid() []PairOptions {
 	var out []PairOptions
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, rep := range []SelectionRep{RepVector, RepBitmap, RepAuto} {
-			out = append(out, PairOptions{Workers: workers, Rep: rep})
-		}
+		out = append(out, PairOptions{Workers: workers})
 	}
 	return out
 }
 
-// TestCellCountsParallelMatchesSequential pins the tentpole
-// guarantee cell-for-cell: the contingency table is identical at
-// every worker count and representation. Run with -race, this also
+// rowMatches is the row-at-a-time reference for R(Q) over the
+// fixture's int columns: the row's value tested against every
+// constraint straight from the SDL definitions, with no engine
+// kernel, cache, chunk or bitmap involved.
+func rowMatches(t testing.TB, tab *engine.Table, q sdl.Query, row int) bool {
+	t.Helper()
+	for _, c := range q.Constraints() {
+		if c.IsAny() {
+			continue
+		}
+		col, ok := tab.ColumnByName(c.Attr)
+		if !ok {
+			t.Fatalf("oracle: no column %q", c.Attr)
+		}
+		v := col.(engine.IntValued).Int64(row)
+		switch c.Kind {
+		case sdl.KindRange:
+			lo, hi := c.Range.Lo.AsInt(), c.Range.Hi.AsInt()
+			if v < lo || v > hi || (v == lo && !c.Range.LoIncl) || (v == hi && !c.Range.HiIncl) {
+				return false
+			}
+		case sdl.KindSet:
+			in := false
+			for _, w := range c.Set {
+				in = in || w.AsInt() == v
+			}
+			if !in {
+				return false
+			}
+		default:
+			t.Fatalf("oracle: constraint kind %v", c.Kind)
+		}
+	}
+	return true
+}
+
+// oracleCells is the contingency table computed row at a time.
+func oracleCells(t testing.TB, tab *engine.Table, s1, s2 *Segmentation) [][]int {
+	t.Helper()
+	cells := make([][]int, len(s1.Queries))
+	for i := range cells {
+		cells[i] = make([]int, len(s2.Queries))
+	}
+	for row := 0; row < tab.NumRows(); row++ {
+		for i, q1 := range s1.Queries {
+			if !rowMatches(t, tab, q1, row) {
+				continue
+			}
+			for j, q2 := range s2.Queries {
+				if rowMatches(t, tab, q2, row) {
+					cells[i][j]++
+				}
+			}
+		}
+	}
+	return cells
+}
+
+// sideAs builds a pair side with segment i bitmap-packed when
+// packed(i), a row-id vector otherwise — the representation choice
+// buildSide's density rule makes, forced.
+func sideAs(t testing.TB, ev *Evaluator, s *Segmentation, packed func(i int) bool) *pairSide {
+	t.Helper()
+	side := &pairSide{sels: make([]engine.Selection, len(s.Queries)), bms: make([]*engine.Bitmap, len(s.Queries))}
+	for i, q := range s.Queries {
+		if packed(i) {
+			bm, err := ev.SelectBitmap(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			side.bms[i] = bm
+			continue
+		}
+		cs, err := ev.SelectChunked(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		side.sels[i] = cs.Flat()
+	}
+	return side
+}
+
+// TestCellCountMatchesRowOracle checks every branch of cellCount —
+// bitmap×bitmap, bitmap×vector, vector×bitmap, vector×vector — on
+// the same two segmentations built as all-bitmap, all-vector and
+// mixed sides, against the row-at-a-time oracle. It also pins that
+// the density rule really builds a mixed side from the fixture, so
+// the advisor's own path crosses representations.
+func TestCellCountMatchesRowOracle(t *testing.T) {
+	ev, s1, s2, s3 := pairFixture(t)
+	forms := map[string]func(int) bool{
+		"bitmap": func(int) bool { return true },
+		"vector": func(int) bool { return false },
+		"mixed":  func(i int) bool { return i%2 == 0 },
+	}
+	branches := map[[2]bool]int{}
+	for _, pair := range [][2]*Segmentation{{s1, s2}, {s1, s3}, {s3, s2}} {
+		want := oracleCells(t, ev.Table(), pair[0], pair[1])
+		for aName, aForm := range forms {
+			for bName, bForm := range forms {
+				a, b := sideAs(t, ev, pair[0], aForm), sideAs(t, ev, pair[1], bForm)
+				for i := range want {
+					for j := range want[i] {
+						branches[[2]bool{a.bms[i] != nil, b.bms[j] != nil}]++
+						if got := cellCount(a, i, b, j); got != want[i][j] {
+							t.Fatalf("%s×%s: cell[%d][%d] = %d, oracle %d", aName, bName, i, j, got, want[i][j])
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(branches) != 4 {
+		t.Fatalf("exercised %d of the 4 cellCount branches", len(branches))
+	}
+	side, err := buildSide(ev, s3, PairOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var packed, vectors int
+	for i := range side.bms {
+		if side.bms[i] != nil {
+			packed++
+		} else if side.sels[i] != nil {
+			vectors++
+		}
+	}
+	if packed == 0 || vectors == 0 {
+		t.Fatalf("density rule built %d bitmaps and %d vectors for the mixed fixture, want both", packed, vectors)
+	}
+}
+
+// TestCellCountsParallelMatchesSequential pins the contingency
+// table cell-for-cell against the row-at-a-time oracle at every
+// worker count. Run with -race, this also
 // exercises the parallel cell loop for data races.
 func TestCellCountsParallelMatchesSequential(t *testing.T) {
 	ev, s1, s2, s3 := pairFixture(t)
@@ -90,10 +219,7 @@ func TestCellCountsParallelMatchesSequential(t *testing.T) {
 		{"mixed×dense", s3, s2},
 	}
 	for _, pair := range pairs {
-		want, err := CellCountsOpt(ev, pair.a, pair.b, PairOptions{Workers: 1, Rep: RepVector})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracleCells(t, ev.Table(), pair.a, pair.b)
 		if len(want) < 2 || len(want[0]) < 2 {
 			t.Fatalf("%s: table %dx%d is too small to be meaningful", pair.name, len(want), len(want[0]))
 		}
@@ -119,10 +245,10 @@ func TestCellCountsParallelMatchesSequential(t *testing.T) {
 
 // TestProductParallelMatchesSequential pins that the parallel
 // product merges in (i, j) order: queries and counts are identical
-// to the sequential nested loop at every width and representation.
+// to the sequential nested loop at every width.
 func TestProductParallelMatchesSequential(t *testing.T) {
 	ev, s1, _, s3 := pairFixture(t)
-	want, err := ProductOpt(ev, s1, s3, PairOptions{Workers: 1, Rep: RepVector})
+	want, err := ProductOpt(ev, s1, s3, PairOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +277,14 @@ func TestProductParallelMatchesSequential(t *testing.T) {
 func TestIndepAndChiSquareInvariantAcrossOptions(t *testing.T) {
 	ev, s1, s2, s3 := pairFixture(t)
 	for _, pair := range [][2]*Segmentation{{s1, s2}, {s1, s3}} {
-		want, err := IndepOpt(ev, pair[0], pair[1], PairOptions{Workers: 1, Rep: RepVector})
+		want, err := IndepOpt(ev, pair[0], pair[1], PairOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantChi, err := ChiSquareIndependentOpt(ev, pair[0], pair[1], 0.05, PairOptions{Workers: 1, Rep: RepVector})
+		if oracle := IndepFromCells(oracleCells(t, ev.Table(), pair[0], pair[1])); want != oracle {
+			t.Fatalf("INDEP = %v, row oracle %v", want, oracle)
+		}
+		wantChi, err := ChiSquareIndependentOpt(ev, pair[0], pair[1], 0.05, PairOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,10 +312,7 @@ func TestIndepAndChiSquareInvariantAcrossOptions(t *testing.T) {
 // under -race.
 func TestCellCountsConcurrentCallers(t *testing.T) {
 	ev, s1, s2, s3 := pairFixture(t)
-	want, err := CellCountsOpt(ev, s1, s2, PairOptions{Workers: 1, Rep: RepVector})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracleCells(t, ev.Table(), s1, s2)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -194,7 +320,7 @@ func TestCellCountsConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			opt := PairOptions{Workers: 1 + g%4, Rep: SelectionRep(g % 3)}
+			opt := PairOptions{Workers: 1 + g%4}
 			got, err := CellCountsOpt(ev, s1, s2, opt)
 			if err != nil {
 				errs <- err

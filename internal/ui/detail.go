@@ -1,8 +1,9 @@
 package ui
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"charles/internal/engine"
@@ -128,11 +129,8 @@ func formatBound(col engine.Column, v float64) string {
 }
 
 func renderNominalDetail(b *strings.Builder, attr string, vcs []stats.ValueCount, total int) {
-	sort.Slice(vcs, func(i, j int) bool {
-		if vcs[i].Count != vcs[j].Count {
-			return vcs[i].Count > vcs[j].Count
-		}
-		return vcs[i].Value < vcs[j].Value
+	slices.SortFunc(vcs, func(a, b stats.ValueCount) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), strings.Compare(a.Value, b.Value))
 	})
 	const topK = 5
 	var parts []string
